@@ -1,11 +1,19 @@
 //! Event-driven timing layer throughput: simulated cycles per host
 //! second, batched scheduling vs the per-cycle reference loop.
 //!
-//! Two workloads bracket the design space:
+//! Four workloads bracket the design space:
 //!
 //! * **compute** — the instruction-dense `blade_mips` loop, where the
 //!   batched layer's win comes from hoisting per-cycle interrupt wiring
 //!   and device ticks out of the issue loop (Mode B spans).
+//! * **quad** — the paper's quad-core blade with the same loop on all
+//!   four harts, each on its own data page (offset by `mhartid`): Mode B
+//!   rounds that batch every hart up to its first shared op.
+//! * **shared** — the quad-core blade with all four harts contending for
+//!   an LR/SC spin lock around a shared counter, 32 private ALU ops
+//!   between acquisitions: hart rounds stop every few cycles, so this
+//!   measures what the batched schedule costs when rounds cannot pay
+//!   off (it backs off to per-cycle stepping).
 //! * **parked** — every core in WFI with interrupts masked, where the
 //!   batched layer skips whole quiet windows in O(1) (Mode A spans). The
 //!   reference loop still pays per-cycle wiring and `clint.advance(1)`.
@@ -20,10 +28,15 @@
 //! * `--quick` — smaller bursts and fewer reps, for CI smoke runs;
 //! * `--check <baseline.json>` — exit nonzero if the measured compute
 //!   batched/reference speedup falls below 80% of the committed
-//!   baseline's, or if a fully parked blade is not at least an order of
+//!   baseline's, if a fully parked blade is not at least an order of
 //!   magnitude cheaper per cycle than a computing one
-//!   (`parked_blade_is_cheap`). Both guards are same-run *ratios*, which
-//!   survive host-machine variation; absolute cycles/sec do not.
+//!   (`parked_blade_is_cheap`), or if batched timing runs the shared
+//!   workload at under 0.8x the reference loop's rate
+//!   (`short_rounds_back_off`). All guards are same-run *ratios*, which
+//!   survive host-machine variation; absolute cycles/sec do not. The
+//!   quad speedup is reported but not enforced: on a 2-vCPU cloud host
+//!   quick runs read 3.3-4.3x while the host runs fast and 2.4-2.9x
+//!   while it runs slow, too wide for an 80% floor on its baseline.
 
 use std::time::Instant;
 
@@ -36,10 +49,14 @@ use firesim_riscv::DRAM_BASE;
 const WINDOW: u32 = 6_400;
 
 /// The `blade_mips` instruction-dense loop: ~18 ALU/mul ops, one load,
-/// one store, and a taken back-branch per iteration, forever.
+/// one store, and a taken back-branch per iteration, forever. Each hart
+/// works on its own page, `0x2000 + mhartid * 4 KiB` into DRAM.
 fn compute_image() -> Vec<u8> {
     let mut a = Assembler::new(DRAM_BASE);
-    a.li(5, (DRAM_BASE + 0x2000) as i64);
+    a.csrr(5, firesim_riscv::csr::addr::MHARTID);
+    a.slli(5, 5, 12);
+    a.li(6, (DRAM_BASE + 0x2000) as i64);
+    a.add(5, 5, 6);
     a.li(6, 0);
     a.label("loop");
     a.addi(6, 6, 1);
@@ -64,14 +81,43 @@ fn compute_image() -> Vec<u8> {
     a.assemble().unwrap()
 }
 
+/// Every hart takes an LR/SC spin lock, bumps a shared counter in the
+/// lock's line, releases the lock, then runs 32 private ALU ops.
+fn shared_image() -> Vec<u8> {
+    let mut a = Assembler::new(DRAM_BASE);
+    a.li(5, (DRAM_BASE + 0x2000) as i64);
+    a.li(6, 1);
+    a.label("acquire");
+    a.lr_d(7, 5);
+    a.bnez(7, "acquire");
+    a.sc_d(7, 6, 5);
+    a.bnez(7, "acquire");
+    a.ld(8, 5, 8);
+    a.addi(8, 8, 1);
+    a.sd(8, 5, 8);
+    a.sd(0, 5, 0);
+    for k in 0..32 {
+        match k % 4 {
+            0 => a.addi(9, 9, 1),
+            1 => a.xor(10, 10, 9),
+            2 => a.add(11, 11, 10),
+            _ => a.or(12, 11, 9),
+        }
+    }
+    a.j("acquire");
+    a.assemble().unwrap()
+}
+
 /// Which workload a runner boots.
 #[derive(Clone, Copy)]
 enum Workload {
     Compute,
+    Quad,
+    Shared,
     Parked,
 }
 
-/// A single-core RTL blade advancing token windows under one timing mode.
+/// An RTL blade advancing token windows under one timing mode.
 struct Runner {
     blade: RtlBlade,
     now: u64,
@@ -79,12 +125,21 @@ struct Runner {
 
 impl Runner {
     fn new(workload: Workload, reference: bool) -> Self {
-        let mut config = BladeConfig::single_core().with_dram_bytes(1 << 20);
+        let mut config = match workload {
+            Workload::Quad | Workload::Shared => BladeConfig::quad_core(),
+            Workload::Compute | Workload::Parked => BladeConfig::single_core(),
+        }
+        .with_dram_bytes(1 << 20);
         config.timing.reference_timing = reference;
         let mut blade = RtlBlade::new("b", MacAddr::from_node_index(0), config);
         let program = match workload {
-            Workload::Compute => programs::Program {
+            Workload::Compute | Workload::Quad => programs::Program {
                 image: compute_image(),
+                dram_init: Vec::new(),
+                mailbox: (programs::MAILBOX, 8),
+            },
+            Workload::Shared => programs::Program {
+                image: shared_image(),
                 dram_init: Vec::new(),
                 mailbox: (programs::MAILBOX, 8),
             },
@@ -143,6 +198,10 @@ fn main() {
 
     let (comp_ref, comp_bat) = rates(Workload::Compute, windows, reps);
     let compute_speedup = comp_bat / comp_ref;
+    let (quad_ref, quad_bat) = rates(Workload::Quad, windows, reps);
+    let quad_speedup = quad_bat / quad_ref;
+    let (shared_ref, shared_bat) = rates(Workload::Shared, windows, reps);
+    let shared_speedup = shared_bat / shared_ref;
     // A parked blade simulates cycles orders of magnitude faster, so it
     // gets proportionally more windows per burst to keep timer noise down.
     let (park_ref, park_bat) = rates(Workload::Parked, parked_windows, reps);
@@ -159,6 +218,18 @@ fn main() {
         compute_speedup
     );
     println!(
+        "quad:    reference {:.2} Mcyc/s, batched {:.2} Mcyc/s, speedup {:.2}x",
+        quad_ref / 1e6,
+        quad_bat / 1e6,
+        quad_speedup
+    );
+    println!(
+        "shared:  reference {:.2} Mcyc/s, batched {:.2} Mcyc/s, speedup {:.2}x",
+        shared_ref / 1e6,
+        shared_bat / 1e6,
+        shared_speedup
+    );
+    println!(
         "parked:  reference {:.2} Mcyc/s, batched {:.2} Mcyc/s, speedup {:.2}x",
         park_ref / 1e6,
         park_bat / 1e6,
@@ -171,6 +242,12 @@ fn main() {
         ("compute_reference_cycles_per_sec", comp_ref),
         ("compute_batched_cycles_per_sec", comp_bat),
         ("compute_speedup", compute_speedup),
+        ("quad_reference_cycles_per_sec", quad_ref),
+        ("quad_batched_cycles_per_sec", quad_bat),
+        ("quad_speedup", quad_speedup),
+        ("shared_reference_cycles_per_sec", shared_ref),
+        ("shared_batched_cycles_per_sec", shared_bat),
+        ("shared_speedup", shared_speedup),
         ("parked_reference_cycles_per_sec", park_ref),
         ("parked_batched_cycles_per_sec", park_bat),
         ("parked_speedup", parked_speedup),
@@ -196,16 +273,27 @@ fn main() {
         let baseline =
             serde_json::from_str(&std::fs::read_to_string(&path).expect("baseline readable"))
                 .expect("baseline parses");
+        let mut failed = false;
         let base_speedup = baseline
             .get("compute_speedup")
             .and_then(serde_json::Value::as_f64)
             .expect("baseline has compute_speedup");
         let floor = base_speedup * 0.8;
-        let mut failed = false;
         if compute_speedup < floor {
             eprintln!(
                 "FAIL: batched/reference compute speedup {compute_speedup:.2}x is below \
                  80% of the committed baseline {base_speedup:.2}x (floor {floor:.2}x)"
+            );
+            failed = true;
+        }
+        // short_rounds_back_off: when hart rounds keep stopping after a
+        // few cycles, the batched schedule must fall back to per-cycle
+        // stepping instead of paying a round's snapshots every few cycles.
+        if shared_speedup < 0.8 {
+            eprintln!(
+                "FAIL: short_rounds_back_off — batched timing runs the shared \
+                 workload at {shared_speedup:.2}x the reference loop's rate; \
+                 expected at least 0.8x"
             );
             failed = true;
         }
@@ -224,7 +312,8 @@ fn main() {
         }
         println!(
             "check ok: compute speedup {compute_speedup:.2}x >= floor {floor:.2}x, \
-             parked blade {parked_cheapness:.1}x cheaper per cycle"
+             parked blade {parked_cheapness:.1}x cheaper per cycle, \
+             shared speedup {shared_speedup:.2}x >= 0.80x"
         );
     }
 }

@@ -22,7 +22,10 @@ use firesim_net::Flit;
 use firesim_riscv::exec::Cpu;
 use firesim_riscv::mem::{Bus, MemFault, Memory};
 use firesim_riscv::{Interrupt, DRAM_BASE};
-use firesim_uarch::{MemSystem, SamplingConfig, TickEvent, TimingCore, TraceEntry};
+use firesim_uarch::{
+    HartSnapshot, MemSystem, PrivateOnly, SamplingConfig, TickEvent, TimingCore, TraceEntry,
+    Unguarded,
+};
 
 use crate::config::BladeConfig;
 use crate::POWEROFF_ADDR;
@@ -52,8 +55,78 @@ pub struct BladeProbe {
     pub trace: Vec<Vec<TraceEntry>>,
 }
 
+/// What a [`SocBus`] records about each CPU store to DRAM.
+trait StoreLog {
+    /// Called right before the store of `size` bytes at `addr` lands.
+    fn record(&mut self, mem: &Memory, addr: u64, size: usize);
+}
+
+/// Store addresses, for the LR/SC clobber and L1 shoot-down pass that
+/// follows the store's cycle or batched span.
+impl StoreLog for Vec<u64> {
+    #[inline]
+    fn record(&mut self, _: &Memory, addr: u64, _: usize) {
+        self.push(addr);
+    }
+}
+
+/// The memory a hart's stores overwrote, oldest first, so a hart that
+/// ran past its round's horizon can be rolled back (see
+/// [`RtlBlade::run_round`]). Saves whole blocks — the L1D line, at most
+/// 64 bytes, so a block never reaches into another hart's private line —
+/// skipping a store to the block saved last: undoing in reverse order
+/// restores the oldest copy anyway, and a loop storing to one line logs
+/// it once.
+#[derive(Debug, Default)]
+struct UndoLog {
+    /// `(address, length, bytes)`: a block, or just the stored bytes
+    /// where a block would reach past the end of DRAM.
+    saved: Vec<(u64, usize, [u8; 64])>,
+    last_block: u64,
+    block: u64,
+}
+
+impl UndoLog {
+    /// Empties the log for a run that saves `block`-byte blocks.
+    fn reset(&mut self, block: u64) {
+        debug_assert!(block.is_power_of_two() && block <= 64);
+        self.saved.clear();
+        self.last_block = u64::MAX;
+        self.block = block;
+    }
+
+    /// Writes every saved range back, newest first.
+    fn undo(&self, mem: &mut Memory) {
+        for (addr, len, bytes) in self.saved.iter().rev() {
+            mem.write_bytes(*addr, &bytes[..*len])
+                .expect("undo targets DRAM");
+        }
+    }
+}
+
+impl StoreLog for UndoLog {
+    #[inline]
+    fn record(&mut self, mem: &Memory, addr: u64, size: usize) {
+        let mask = !(self.block - 1);
+        for block in [addr & mask, (addr + size as u64 - 1) & mask] {
+            if block == self.last_block {
+                continue;
+            }
+            self.last_block = block;
+            let (at, len) = if mem.contains(block, self.block as usize) {
+                (block, self.block as usize)
+            } else {
+                (addr, size)
+            };
+            let mut bytes = [0u8; 64];
+            bytes[..len].copy_from_slice(mem.read_bytes(at, len).expect("store is inside DRAM"));
+            self.saved.push((at, len, bytes));
+        }
+    }
+}
+
 /// The SoC bus: dispatches physical addresses to DRAM and MMIO devices.
-struct SocBus<'a> {
+struct SocBus<'a, L: StoreLog = Vec<u64>> {
     mem: &'a mut Memory,
     nic: &'a mut Nic,
     blockdev: &'a mut BlockDevice,
@@ -61,15 +134,16 @@ struct SocBus<'a> {
     clint: &'a mut Clint,
     accel: Option<&'a mut CopyAccel>,
     poweroff: &'a mut Option<u8>,
-    /// Store addresses performed this instruction (for LR/SC clobbering).
-    stores: &'a mut Vec<u64>,
+    /// Record of the DRAM stores performed (for LR/SC clobbering and L1
+    /// shoot-downs, or for rollback).
+    stores: &'a mut L,
     /// Device ticks owed but not yet replayed during a batched issue span
     /// (see [`RtlBlade::advance_batched`]). The per-cycle paths never
     /// increment it, so the lazy catch-up below stays dormant there.
     device_lag: &'a mut u64,
 }
 
-impl SocBus<'_> {
+impl<L: StoreLog> SocBus<'_, L> {
     /// Replays deferred device cycles before an MMIO access can observe
     /// (or mutate) device state. Batched spans only start while the NIC
     /// is quiescent and end at the first MMIO cycle, and the span budget
@@ -107,7 +181,7 @@ impl SocBus<'_> {
     }
 }
 
-impl Bus for SocBus<'_> {
+impl<L: StoreLog> Bus for SocBus<'_, L> {
     fn load(&mut self, addr: u64, size: usize) -> Result<u64, MemFault> {
         if self.mem.contains(addr, size) {
             return self.mem.load(addr, size);
@@ -123,7 +197,7 @@ impl Bus for SocBus<'_> {
 
     fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), MemFault> {
         if self.mem.contains(addr, size) {
-            self.stores.push(addr);
+            self.stores.record(self.mem, addr, size);
             return self.mem.store(addr, size, value);
         }
         if addr == POWEROFF_ADDR {
@@ -221,6 +295,97 @@ impl SamplingState {
     }
 }
 
+/// Host-side scratch of the batched schedule's hart rounds (see
+/// [`RtlBlade::run_round`]): buffers reused from round to round, never
+/// checkpointed.
+#[derive(Debug, Default)]
+struct Rounds {
+    /// Harts running in the current round, in run order.
+    order: Vec<usize>,
+    /// Per hart: cycles consumed this round; `None` for harts that sat
+    /// the round out (and skip it in bulk).
+    ends: Vec<Option<u64>>,
+    /// Per hart: every hart's LR reservation at the round's start.
+    reservations: Vec<Option<u64>>,
+    /// Rollback state of the hart at each position of `order` but the
+    /// last (which never rolls back), allocated as rounds first need it.
+    snaps: Vec<HartSnapshot>,
+    /// Store undo log of the hart at each position of `order`.
+    undo: Vec<UndoLog>,
+    /// The hart whose horizon bounded the last multi-hart round; it runs
+    /// first in the next one, so the others start out capped by it.
+    lead: usize,
+    /// Multi-hart cycles still to step per cycle because recent rounds
+    /// were too short to pay for their snapshots (see
+    /// [`Rounds::note_round`]).
+    backoff: u64,
+    /// Consecutive short multi-hart rounds; doubles `backoff`.
+    short_rounds: u32,
+    /// Budget cap of the next multi-hart round (see [`Rounds::reach`]).
+    reach: u64,
+    /// Never back off (see [`RtlBlade::keep_short_rounds`]).
+    eager: bool,
+    /// How target cycles were hosted, for the `host_sched_*` counters.
+    skip_cycles: u64,
+    round_cycles: u64,
+    fallback_cycles: u64,
+    rounds: u64,
+    rollbacks: u64,
+}
+
+impl Rounds {
+    /// Multi-hart rounds shorter than this many cycles cost more host time
+    /// than stepping the same cycles one by one: each round saves every
+    /// hart but one (a `Cpu` and both L1s, ~12 KiB per hart), may roll
+    /// harts back and ends with a reference cycle.
+    const SHORT_ROUND: u64 = 32;
+    /// Cap on the doubling backoff: one probing round per this many
+    /// per-cycle steps once rounds keep coming out short.
+    const MAX_BACKOFF: u64 = 2048;
+
+    /// Whether `active` runnable harts may run a round now. False while
+    /// several are runnable and recent multi-hart rounds came out short:
+    /// the cycle then takes the per-cycle path and counts the backoff
+    /// down.
+    fn pays_off(&mut self, active: usize) -> bool {
+        if active < 2 || self.eager || self.backoff == 0 {
+            return true;
+        }
+        self.backoff -= 1;
+        false
+    }
+
+    /// Budget cap of a multi-hart round. The first hart of a round runs
+    /// before anyone's horizon is known, and whatever it runs past the
+    /// horizon is rolled back and run again; the cap keeps that waste
+    /// near the recent round lengths.
+    fn reach(&self) -> u64 {
+        self.reach.max(Self::SHORT_ROUND)
+    }
+
+    /// Records a multi-hart round that used `used` of its `budget`
+    /// cycles. A round that stopped (before a shared op) sets the next
+    /// cap to twice its length; one that ran to its budget can only
+    /// raise the cap. After a round that stopped short, the next
+    /// `backoff` multi-hart cycles run on the per-cycle path, twice as
+    /// many after each further short one; a long round resets it.
+    fn note_round(&mut self, used: u64, budget: u64) {
+        let stopped = used < budget;
+        let twice = used.saturating_mul(2);
+        self.reach = if stopped {
+            twice
+        } else {
+            self.reach.max(twice)
+        };
+        if used >= Self::SHORT_ROUND {
+            self.short_rounds = 0;
+        } else if stopped {
+            self.short_rounds = self.short_rounds.saturating_add(1);
+            self.backoff = (Self::SHORT_ROUND << self.short_rounds.min(16)).min(Self::MAX_BACKOFF);
+        }
+    }
+}
+
 /// A cycle-exact server blade. See the [module docs](self).
 pub struct RtlBlade {
     name: String,
@@ -243,6 +408,7 @@ pub struct RtlBlade {
     /// Device ticks owed during a batched issue span; scratch state that
     /// is always 0 between spans (not checkpointed).
     device_lag: u64,
+    rounds: Rounds,
     /// When set, [`advance_ports`](Self::advance_ports) runs the
     /// per-cycle reference loop instead of the event-driven scheduler.
     /// Taken from [`firesim_uarch::TimingConfig::reference_timing`].
@@ -298,6 +464,7 @@ impl RtlBlade {
             store_scratch: Vec::new(),
             rx_scratch: Vec::new(),
             device_lag: 0,
+            rounds: Rounds::default(),
             reference_timing: config.timing.reference_timing,
             sampling: config
                 .timing
@@ -306,6 +473,16 @@ impl RtlBlade {
             profile_host: false,
             host_ns: 0,
         }
+    }
+
+    /// Runs several runnable harts in hart rounds however short the
+    /// rounds come out, instead of backing off to per-cycle stepping
+    /// once recent rounds stopped after a few cycles (DESIGN §12).
+    /// Changes host time only, since both schedules are exact; lets
+    /// equivalence tests drive rounds through programs full of shared
+    /// ops.
+    pub fn keep_short_rounds(&mut self) {
+        self.rounds.eager = true;
     }
 
     /// Loads a bare-metal program image at the reset vector.
@@ -529,6 +706,7 @@ impl RtlBlade {
         off: &mut u32,
         rx_idx: &mut usize,
     ) {
+        self.rounds.fallback_cycles += u64::from(end.saturating_sub(*off));
         while *off < end {
             if self.powered_off.is_none() {
                 self.wire_interrupts();
@@ -544,16 +722,21 @@ impl RtlBlade {
     /// [`advance_reference`](Self::advance_reference) while hosting many
     /// target cycles per iteration whenever the blade is quiescent enough:
     ///
-    /// * **Full skip** — every core parked or stalled and every device
-    ///   quiet: the gap up to the next event (timer expiry, stall end,
-    ///   rx flit, disk completion) collapses into O(1) bulk updates.
-    /// * **Batched issue** — exactly one runnable core: it issues up to a
-    ///   budget of cycles against one bus borrow with the interrupt wiring
+    /// * **Full skip** (Mode A) — every core parked or stalled and every
+    ///   device quiet: the gap up to the next event (timer expiry, stall
+    ///   end, rx flit, disk completion) collapses into O(1) bulk updates.
+    /// * **Hart round** (Mode B) — one or more runnable cores and a
+    ///   frozen environment: [`run_round`](Self::run_round) issues every
+    ///   runnable core up to a budget of cycles with the interrupt wiring
     ///   hoisted out of the loop; the budget guarantees every skipped
-    ///   rewiring would have been a no-op, and the span stops at the
-    ///   first MMIO-visible cycle.
+    ///   rewiring would have been a no-op. A lone hart's span stops after
+    ///   its first MMIO-visible cycle; several harts stop before their
+    ///   first shared op, which one reference cycle then executes.
     /// * **Reference cycle** — anything else falls back to one verbatim
-    ///   per-cycle iteration.
+    ///   per-cycle iteration, as do several runnable harts for a while
+    ///   after their rounds came out too short to pay for the snapshots
+    ///   ([`Rounds::note_round`]). Either schedule is exact, so this
+    ///   choice changes host time only.
     ///
     /// Advances window offsets `*off..end` (the full window for plain
     /// runs; one detailed leg under sampled timing).
@@ -581,10 +764,12 @@ impl RtlBlade {
                 if self.nic.is_quiescent() && next_rx > *off {
                     let k = next_rx - *off;
                     self.nic.skip_quiescent(u64::from(k));
+                    self.rounds.skip_cycles += u64::from(k);
                     self.cycle += u64::from(k);
                     *off += k;
                 } else {
                     self.nic_cycle(ctx, out_port, *off, rx_idx);
+                    self.rounds.fallback_cycles += 1;
                     self.cycle += 1;
                     *off += 1;
                 }
@@ -596,7 +781,6 @@ impl RtlBlade {
             self.wire_interrupts();
 
             let mut active = 0usize;
-            let mut active_idx = 0usize;
             // Tightest wakeup bound over the inactive cores (stall expiry
             // or armed-timer expiry; parked cores with the timer masked
             // are unbounded).
@@ -605,7 +789,6 @@ impl RtlBlade {
                 let ev = core.next_event(self.clint.next_timer_expiry(i));
                 if ev == 0 {
                     active += 1;
-                    active_idx = i;
                 } else {
                     inactive_bound = inactive_bound.min(ev);
                 }
@@ -638,87 +821,255 @@ impl RtlBlade {
                     self.wire_interrupts();
                     self.clint.advance(1);
                     self.nic.skip_quiescent(k);
+                    self.rounds.skip_cycles += k;
                     self.cycle += k;
                     *off += k as u32;
                     continue;
                 }
-            } else if active == 1 && nic_quiet && accel_idle {
-                // Batched issue. The budget guarantees that over the span
-                // (a) no other core would wake, (b) mtime never moves, so
-                // the skipped rewirings are no-ops, (c) no disk transfer
-                // completes before the final cycle, and (d) at most the
-                // final cycle consumes an rx flit.
+            } else if active >= 1 && nic_quiet && accel_idle && self.rounds.pays_off(active) {
+                // Hart round. The budget guarantees that over the round
+                // (a) mtime never moves, so the skipped rewirings are
+                // no-ops, (b) no disk transfer completes before the final
+                // cycle, (c) at most the final cycle consumes an rx flit,
+                // and (d) no hart outside the round would wake. A lone
+                // hart is bounded by every other hart's next event; with
+                // several, every hart whose stall ends inside the budget
+                // runs too, and the budget is capped by `Rounds::reach`.
                 let mut budget = remaining
                     .min(self.clint.cycles_to_next_tick())
-                    .min(inactive_bound)
                     .min(u64::from(next_rx - *off).saturating_add(1));
                 if let Some(m) = blockdev_busy {
                     budget = budget.min(m);
                 }
-                let i = active_idx;
-                self.store_scratch.clear();
-                self.device_lag = 0;
-                let mut bus = SocBus {
-                    mem: &mut self.mem,
-                    nic: &mut self.nic,
-                    blockdev: &mut self.blockdev,
-                    uart: &mut self.uart,
-                    clint: &mut self.clint,
-                    accel: self.accel.as_mut(),
-                    poweroff: &mut self.powered_off,
-                    stores: &mut self.store_scratch,
-                    device_lag: &mut self.device_lag,
-                };
-                let used = self.cores[i].advance(&mut bus, &mut self.memsys, i, self.cycle, budget);
-                // LR/SC coherence for every store in the span, in order.
-                // Deferring past the span end is exact: the other cores
-                // never run inside it and `shootdown` only flips their
-                // L1 valid bits (no stats, no LRU movement).
-                for k in 0..self.store_scratch.len() {
-                    let addr = self.store_scratch[k];
-                    for (j, other) in self.cores.iter_mut().enumerate() {
-                        if j != i {
-                            other.cpu_mut().clobber_reservation(addr);
-                        }
+                budget = budget.min(if active == 1 {
+                    inactive_bound
+                } else {
+                    self.rounds.reach()
+                });
+                let Rounds { order, ends, .. } = &mut self.rounds;
+                order.clear();
+                ends.clear();
+                for (i, core) in self.cores.iter().enumerate() {
+                    let runs = core.next_event(self.clint.next_timer_expiry(i)) < budget;
+                    if runs {
+                        order.push(i);
                     }
-                    self.memsys.shootdown(addr, Some(i));
+                    ends.push(runs.then_some(0));
                 }
-                for (j, core) in self.cores.iter_mut().enumerate() {
-                    if j != i {
-                        core.skip(used);
+                // Several harts share a round only on the superblock
+                // path, the one that can stop before a shared op.
+                let solo = order.len() == 1;
+                if solo || order.iter().all(|&i| self.cores[i].batches_superblocks()) {
+                    let used = if solo {
+                        self.run_round::<false>(budget)
+                    } else {
+                        let used = self.run_round::<true>(budget);
+                        self.rounds.note_round(used, budget);
+                        used
+                    };
+                    self.commit_round(ctx, out_port, off, rx_idx, used);
+                    if !solo && used < budget {
+                        // A hart stopped before a shared op: execute it
+                        // (and whatever the others do this cycle)
+                        // verbatim.
+                        self.wire_interrupts();
+                        self.reference_cycle(ctx, out_port, off, rx_idx);
                     }
+                    continue;
                 }
-                // The devices owe one tick per span cycle. Any MMIO inside
-                // the span already flushed the ticks before it lazily
-                // (see `SocBus::catch_up_devices`); replay the remainder,
-                // with the final cycle as real ticks since the span's last
-                // cycle may have programmed a device.
-                let lag = self.device_lag;
-                self.device_lag = 0;
-                debug_assert!(
-                    used >= 1 && lag >= 1 && lag <= used,
-                    "batched span accounting broken: used {used}, lag {lag}"
-                );
-                self.blockdev.skip(lag - 1);
-                self.blockdev.tick(&mut self.mem);
-                if let Some(accel) = &mut self.accel {
-                    accel.tick(&mut self.mem);
-                }
-                self.clint.advance(used);
-                self.nic.skip_quiescent(lag - 1);
-                let last = *off + used as u32 - 1;
-                self.nic_cycle(ctx, out_port, last, rx_idx);
-                self.cycle += used;
-                *off += used as u32;
-                continue;
             }
 
             // Fallback: one verbatim reference cycle (wiring already done
             // above).
-            self.tick_cores_and_devices();
-            self.nic_cycle(ctx, out_port, *off, rx_idx);
-            self.cycle += 1;
-            *off += 1;
+            self.reference_cycle(ctx, out_port, off, rx_idx);
+        }
+    }
+
+    /// One reference-loop iteration after its interrupt wiring: cores,
+    /// devices and the CLINT tick, then the NIC exchanges its token.
+    fn reference_cycle(
+        &mut self,
+        ctx: &mut AgentCtx<Flit>,
+        out_port: usize,
+        off: &mut u32,
+        rx_idx: &mut usize,
+    ) {
+        self.tick_cores_and_devices();
+        self.nic_cycle(ctx, out_port, *off, rx_idx);
+        self.rounds.fallback_cycles += 1;
+        self.cycle += 1;
+        *off += 1;
+    }
+
+    /// Completes a hart round of `used` cycles: the harts that sat it out
+    /// and the devices advance in bulk, and the NIC exchanges the
+    /// round's tokens.
+    fn commit_round(
+        &mut self,
+        ctx: &mut AgentCtx<Flit>,
+        out_port: usize,
+        off: &mut u32,
+        rx_idx: &mut usize,
+        used: u64,
+    ) {
+        self.rounds.rounds += 1;
+        self.rounds.round_cycles += used;
+        if used == 0 {
+            return;
+        }
+        for (core, end) in self.cores.iter_mut().zip(&self.rounds.ends) {
+            if end.is_none() {
+                core.skip(used);
+            }
+        }
+        // The devices owe one tick per round cycle. Any MMIO inside a
+        // lone hart's span already flushed the ticks before it lazily
+        // (see `SocBus::catch_up_devices`); replay the remainder, with
+        // the final cycle as real ticks since the span's last cycle may
+        // have programmed a device.
+        let lag = self.device_lag;
+        self.device_lag = 0;
+        debug_assert!(
+            lag >= 1 && lag <= used,
+            "hart round accounting broken: used {used}, lag {lag}"
+        );
+        self.blockdev.skip(lag - 1);
+        self.blockdev.tick(&mut self.mem);
+        if let Some(accel) = &mut self.accel {
+            accel.tick(&mut self.mem);
+        }
+        self.clint.advance(used);
+        self.nic.skip_quiescent(lag - 1);
+        let last = *off + used as u32 - 1;
+        self.nic_cycle(ctx, out_port, last, rx_idx);
+        self.cycle += used;
+        *off += used as u32;
+    }
+
+    /// One hart round from the current cycle `t` over at most `budget`
+    /// cycles, running the harts in `rounds.order`; returns its length
+    /// `H - t`. The caller has frozen the environment for the budget.
+    ///
+    /// * `SHARED = false` — one hart (the single-hart Mode B span): it runs
+    ///   unguarded, stops right after any MMIO-visible cycle, and its
+    ///   stores' reservation clobbers and L1 shoot-downs are applied after
+    ///   the span — exact, because no other core runs inside it.
+    /// * `SHARED = true` — several harts. Each is saved, then runs capped
+    ///   at the earliest end so far and stops *before* its first shared
+    ///   op ([`PrivateOnly`]). Private ops of different harts commute, so
+    ///   running the harts one after another is exact; harts that ran
+    ///   past the final horizon `H` are rolled back (stores undone, state
+    ///   restored) and re-run to exactly `H`. Stores in the committed
+    ///   round need no coherence pass: their lines are in no other L1 and
+    ///   reserved by no other hart, so the pass would change nothing.
+    ///   DESIGN §12 has the full argument.
+    fn run_round<const SHARED: bool>(&mut self, budget: u64) -> u64 {
+        let t = self.cycle;
+        let n = self.rounds.order.len();
+        if SHARED {
+            let r = &mut self.rounds;
+            r.reservations.clear();
+            r.reservations
+                .extend(self.cores.iter().map(|c| c.cpu().reservation()));
+            while r.snaps.len() + 1 < n {
+                r.snaps.push(self.cores[0].new_snapshot(&self.memsys, 0));
+            }
+            r.undo.resize_with(r.undo.len().max(n), UndoLog::default);
+            if let Some(p) = r.order.iter().position(|&i| i == r.lead) {
+                r.order[..=p].rotate_right(1);
+            }
+        }
+        let mut cap = budget;
+        for k in 0..n {
+            let i = self.rounds.order[k];
+            // The last hart to run is capped by every earlier one, so it
+            // never needs rolling back.
+            if SHARED && k + 1 < n {
+                self.cores[i].save_private(&self.memsys, i, &mut self.rounds.snaps[k]);
+            }
+            let used = self.run_hart::<SHARED>(k, t, cap);
+            self.rounds.ends[i] = Some(used);
+            cap = cap.min(used);
+            if cap == 0 {
+                break;
+            }
+        }
+        if SHARED {
+            for k in 0..n {
+                let i = self.rounds.order[k];
+                if self.rounds.ends[i].is_some_and(|e| e > cap) {
+                    self.rounds.undo[k].undo(&mut self.mem);
+                    self.cores[i].restore_private(&mut self.memsys, i, &self.rounds.snaps[k]);
+                    let rerun = self.run_hart::<SHARED>(k, t, cap);
+                    assert_eq!(rerun, cap, "re-run hart {i} missed the horizon");
+                    self.rounds.ends[i] = Some(cap);
+                    self.rounds.rollbacks += 1;
+                }
+            }
+            if cap < budget {
+                let r = &mut self.rounds;
+                r.lead = r
+                    .order
+                    .iter()
+                    .copied()
+                    .find(|&i| r.ends[i] == Some(cap))
+                    .unwrap_or(r.lead);
+            }
+        } else {
+            let i = self.rounds.order[0];
+            // LR/SC coherence for every store in the span, in order.
+            // Deferring past the span end is exact: the other cores
+            // never run inside it and `shootdown` only flips their L1
+            // valid bits (no stats, no LRU movement).
+            for k in 0..self.store_scratch.len() {
+                let addr = self.store_scratch[k];
+                for (j, other) in self.cores.iter_mut().enumerate() {
+                    if j != i {
+                        other.cpu_mut().clobber_reservation(addr);
+                    }
+                }
+                self.memsys.shootdown(addr, Some(i));
+            }
+        }
+        cap
+    }
+
+    /// Runs the hart at position `k` of a round's order from cycle `t`
+    /// for at most `cap` cycles (see [`run_round`](Self::run_round));
+    /// returns the cycles it used.
+    fn run_hart<const SHARED: bool>(&mut self, k: usize, t: u64, cap: u64) -> u64 {
+        let i = self.rounds.order[k];
+        self.device_lag = 0;
+        if SHARED {
+            let log = &mut self.rounds.undo[k];
+            log.reset((self.memsys.config().l1d.line_bytes as u64).min(64));
+            let mut bus = SocBus {
+                mem: &mut self.mem,
+                nic: &mut self.nic,
+                blockdev: &mut self.blockdev,
+                uart: &mut self.uart,
+                clint: &mut self.clint,
+                accel: self.accel.as_mut(),
+                poweroff: &mut self.powered_off,
+                stores: log,
+                device_lag: &mut self.device_lag,
+            };
+            let mut guard = PrivateOnly::new(&self.rounds.reservations, &self.memsys);
+            self.cores[i].advance(&mut bus, &mut self.memsys, i, t, cap, &mut guard)
+        } else {
+            self.store_scratch.clear();
+            let mut bus = SocBus {
+                mem: &mut self.mem,
+                nic: &mut self.nic,
+                blockdev: &mut self.blockdev,
+                uart: &mut self.uart,
+                clint: &mut self.clint,
+                accel: self.accel.as_mut(),
+                poweroff: &mut self.powered_off,
+                stores: &mut self.store_scratch,
+                device_lag: &mut self.device_lag,
+            };
+            self.cores[i].advance(&mut bus, &mut self.memsys, i, t, cap, &mut Unguarded)
         }
     }
 
@@ -1097,6 +1448,20 @@ impl SimAgent for RtlBlade {
         for (name, stats) in [("l1i", ms.l1i), ("l1d", ms.l1d), ("l2", ms.l2)] {
             out.push((format!("host_{name}_hits"), stats.hits));
             out.push((format!("host_{name}_misses"), stats.misses));
+        }
+        // How the batched schedule hosted the target cycles: Mode A
+        // skips, hart rounds (and how many rolled a hart back), and
+        // per-cycle fallbacks. Schedule internals that differ between
+        // batched and reference timing by design.
+        let r = &self.rounds;
+        for (name, v) in [
+            ("skip_cycles", r.skip_cycles),
+            ("round_cycles", r.round_cycles),
+            ("fallback_cycles", r.fallback_cycles),
+            ("rounds", r.rounds),
+            ("rollbacks", r.rollbacks),
+        ] {
+            out.push((format!("host_sched_{name}"), v));
         }
         out.push(("host_dram_row_hits".to_owned(), ms.dram.row_hits));
         out.push(("host_dram_row_empty".to_owned(), ms.dram.row_empty));

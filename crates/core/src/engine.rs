@@ -1040,6 +1040,27 @@ impl<T: Send + 'static> Engine<T> {
         Ok(())
     }
 
+    /// Fails when a boundary input holds more than its seeded
+    /// `latency / window` windows: a pump has already injected a peer's
+    /// window, which a restore's queue replacement would silently drop.
+    fn check_boundaries_unfed(&self) -> SimResult<()> {
+        for &(a, p) in &self.boundary_inputs {
+            let slot = &self.agents[a];
+            let rx = slot.inputs[p].as_ref().expect("boundary input is wired");
+            let seeded = (rx.latency().as_u64() / self.window as u64) as usize;
+            let queued = rx.in_flight_windows();
+            if queued > seeded {
+                return Err(SimError::checkpoint(format!(
+                    "agent {} boundary input port {p} already holds {queued} queued \
+                     windows (seeded {seeded}); restore would drop the injected ones — \
+                     restore before starting its pump",
+                    slot.agent.name()
+                )));
+            }
+        }
+        Ok(())
+    }
+
     fn check_wired(&self) -> SimResult<()> {
         for slot in &self.agents {
             if slot.inputs.iter().any(Option::is_none) || slot.outputs.iter().any(Option::is_none) {
@@ -1631,13 +1652,16 @@ impl<T: Send + 'static> Engine<T> {
     /// # Errors
     ///
     /// Returns [`SimError::Checkpoint`] when the checkpoint does not match
-    /// this engine's topology or an agent snapshot is malformed, and
-    /// [`SimError::Topology`] for unconnected ports.
+    /// this engine's topology, an agent snapshot is malformed, or a
+    /// boundary input already holds windows a pump injected (see
+    /// [`Engine::restore_by_name`]), and [`SimError::Topology`] for
+    /// unconnected ports.
     pub fn restore(&mut self, cp: &EngineCheckpoint<T>) -> SimResult<()>
     where
         T: Clone,
     {
         self.check_wired()?;
+        self.check_boundaries_unfed()?;
         if cp.window != self.window {
             return Err(SimError::checkpoint(format!(
                 "checkpoint window {} does not match engine window {}",
@@ -1715,13 +1739,17 @@ impl<T: Send + 'static> Engine<T> {
     ///
     /// Returns [`SimError::Checkpoint`] when the windows differ, an
     /// engine agent is missing from the checkpoint, an input-link count
-    /// disagrees, or an agent snapshot is malformed, and
-    /// [`SimError::Topology`] for unconnected ports.
+    /// disagrees, an agent snapshot is malformed, or a boundary input
+    /// already holds windows beyond its seeded `latency / window` —
+    /// restoring replaces every input queue, so those injected windows
+    /// would be lost. Restore a shard *before* starting its pumps.
+    /// Returns [`SimError::Topology`] for unconnected ports.
     pub fn restore_by_name(&mut self, cp: &EngineCheckpoint<T>) -> SimResult<()>
     where
         T: Clone,
     {
         self.check_wired()?;
+        self.check_boundaries_unfed()?;
         if cp.window != self.window {
             return Err(SimError::checkpoint(format!(
                 "checkpoint window {} does not match engine window {}",
@@ -3327,6 +3355,48 @@ mod tests {
         engine.verify_token_invariant().unwrap();
         // Double connection is rejected like Engine::connect.
         assert!(engine.connect_external_input(a, 0, Cycle::new(16)).is_err());
+    }
+
+    /// Restoring over a boundary input that a pump already fed would
+    /// discard the injected window; both restore entry points refuse,
+    /// naming the agent, the port and the queued count.
+    #[test]
+    fn restore_rejects_injected_boundary_windows() {
+        let mut src = checkpointable_ring();
+        src.run_for(Cycle::new(32)).unwrap();
+        let cp = src.checkpoint().unwrap();
+
+        let build = || {
+            let mut engine: Engine<u64> = Engine::new(4);
+            let a = engine.add_agent(Box::new(Pulser::new(4)));
+            let b = engine.add_agent(Box::new(Pulser::new(6)));
+            engine.connect(a, 0, b, 0, Cycle::new(8)).unwrap();
+            let inp = engine.connect_external_input(a, 0, Cycle::new(8)).unwrap();
+            let _out = engine.connect_external_output(b, 0, Cycle::new(8)).unwrap();
+            (engine, inp)
+        };
+        // Unfed boundary: restore is fine.
+        let (mut engine, _inp) = build();
+        engine.restore_by_name(&cp).unwrap();
+
+        for by_name in [false, true] {
+            let (mut engine, inp) = build();
+            let halt = AtomicBool::new(false);
+            let w = inp.take_buffer();
+            assert!(matches!(inp.inject_or_halt(w, &halt), Ok(None)));
+            let err = if by_name {
+                engine.restore_by_name(&cp)
+            } else {
+                engine.restore(&cp)
+            }
+            .unwrap_err();
+            assert!(matches!(err, SimError::Checkpoint { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("pulser") && msg.contains("port 0") && msg.contains("3 queued"),
+                "error must name agent, port and count: {msg}"
+            );
+        }
     }
 
     #[test]

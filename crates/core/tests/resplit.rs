@@ -102,10 +102,15 @@ fn pump(
     })
 }
 
+/// One cross-shard ring edge whose pump has not started yet.
+type Boundary = (BoundaryOutput<u64>, BoundaryInput<u64>);
+
 /// Builds one engine per group of `groups` (a partition of `0..N`),
 /// wiring each ring edge `i -> (i+1) % N` directly when both endpoints
-/// share a group and through a boundary pump otherwise.
-fn build_groups(groups: &[Vec<usize>]) -> (Vec<Engine<u64>>, Vec<JoinHandle<()>>, Arc<AtomicBool>) {
+/// share a group and through a boundary otherwise. The boundaries are
+/// returned unpumped: `run_groups` starts their pumps only after every
+/// shard has restored.
+fn build_groups(groups: &[Vec<usize>]) -> (Vec<Engine<u64>>, Vec<Boundary>) {
     let mut engines: Vec<Engine<u64>> = groups.iter().map(|_| Engine::new(WINDOW)).collect();
     let mut place = [(0usize, None); N];
     for (g, members) in groups.iter().enumerate() {
@@ -114,8 +119,7 @@ fn build_groups(groups: &[Vec<usize>]) -> (Vec<Engine<u64>>, Vec<JoinHandle<()>>
             place[i] = (g, Some(id));
         }
     }
-    let halt = Arc::new(AtomicBool::new(false));
-    let mut pumps = Vec::new();
+    let mut boundaries = Vec::new();
     for i in 0..N {
         let j = (i + 1) % N;
         let (gi, ai) = (place[i].0, place[i].1.unwrap());
@@ -131,30 +135,38 @@ fn build_groups(groups: &[Vec<usize>]) -> (Vec<Engine<u64>>, Vec<JoinHandle<()>>
             let inp = engines[gj]
                 .connect_external_input(aj, 0, Cycle::new(LATENCY))
                 .unwrap();
-            pumps.push(pump(out, inp, Arc::clone(&halt)));
+            boundaries.push((out, inp));
         }
     }
-    (engines, pumps, halt)
+    (engines, boundaries)
 }
 
-/// Runs every engine (optionally restoring `from` by name first) for
-/// `cycles` in its own thread and returns the per-shard checkpoints in
-/// group order.
+/// Restores every engine from `from` by name (when given), then starts
+/// the boundary pumps, then runs every engine for `cycles` in its own
+/// thread and returns the per-shard checkpoints in group order.
+///
+/// The order is the protocol `manager::partition` follows: a restore
+/// replaces every input queue, so a pump running before it could inject
+/// a fast peer's window only for the restore to refuse it.
 fn run_groups(
-    engines: Vec<Engine<u64>>,
-    pumps: Vec<JoinHandle<()>>,
-    halt: Arc<AtomicBool>,
-    from: Option<Arc<EngineCheckpoint<u64>>>,
+    (mut engines, boundaries): (Vec<Engine<u64>>, Vec<Boundary>),
+    from: Option<&EngineCheckpoint<u64>>,
     cycles: u64,
 ) -> Vec<EngineCheckpoint<u64>> {
+    if let Some(cp) = from {
+        for e in &mut engines {
+            e.restore_by_name(cp).unwrap();
+        }
+    }
+    let halt = Arc::new(AtomicBool::new(false));
+    let pumps: Vec<_> = boundaries
+        .into_iter()
+        .map(|(out, inp)| pump(out, inp, Arc::clone(&halt)))
+        .collect();
     let threads: Vec<_> = engines
         .into_iter()
         .map(|mut e| {
-            let from = from.clone();
             std::thread::spawn(move || {
-                if let Some(cp) = from.as_deref() {
-                    e.restore_by_name(cp).unwrap();
-                }
                 e.run_for(Cycle::new(cycles)).unwrap();
                 e.checkpoint().unwrap()
             })
@@ -177,15 +189,13 @@ fn digests_of(cps: &[EngineCheckpoint<u64>]) -> Vec<(String, u64)> {
 #[test]
 fn four_way_checkpoint_restores_across_shapes() {
     // Reference: an uninterrupted monolithic run to END.
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let straight = digests_of(&run_groups(engines, pumps, halt, None, END));
+    let straight = digests_of(&run_groups(build_groups(&[(0..N).collect()]), None, END));
 
     // Leg 1: a 4-way sharded run to MID; merge the per-shard checkpoints
     // and round-trip the merged checkpoint through the FSCKPT01 on-disk
     // encoding, as the repartitioning manager does.
     let groups4: Vec<Vec<usize>> = (0..N).map(|i| vec![i]).collect();
-    let (engines, pumps, halt) = build_groups(&groups4);
-    let parts = run_groups(engines, pumps, halt, None, MID);
+    let parts = run_groups(build_groups(&groups4), None, MID);
     let merged = EngineCheckpoint::merge(parts).unwrap();
     assert_eq!(merged.now(), Cycle::new(MID));
     let names: Vec<&str> = merged.agent_names().collect();
@@ -195,15 +205,11 @@ fn four_way_checkpoint_restores_across_shapes() {
     merged.save_to(&path).unwrap();
     let merged = EngineCheckpoint::<u64>::load_from(&path).unwrap();
     let _ = std::fs::remove_file(&path);
-    let merged = Arc::new(merged);
 
     // Leg 2a: restore into a 2-way deployment and run to END.
-    let (engines, pumps, halt) = build_groups(&[vec![0, 1], vec![2, 3]]);
     let two_way = digests_of(&run_groups(
-        engines,
-        pumps,
-        halt,
-        Some(Arc::clone(&merged)),
+        build_groups(&[vec![0, 1], vec![2, 3]]),
+        Some(&merged),
         END - MID,
     ));
     assert_eq!(
@@ -212,12 +218,9 @@ fn four_way_checkpoint_restores_across_shapes() {
     );
 
     // Leg 2b: restore into a monolithic deployment and run to END.
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
     let mono = digests_of(&run_groups(
-        engines,
-        pumps,
-        halt,
-        Some(Arc::clone(&merged)),
+        build_groups(&[(0..N).collect()]),
+        Some(&merged),
         END - MID,
     ));
     assert_eq!(
@@ -233,21 +236,17 @@ fn four_way_checkpoint_restores_across_shapes() {
 #[test]
 fn restore_by_name_accepts_superset_checkpoint() {
     // Full checkpoint from a monolithic run to MID.
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let full = run_groups(engines, pumps, halt, None, MID).pop().unwrap();
-    let full = Arc::new(full);
+    let full = run_groups(build_groups(&[(0..N).collect()]), None, MID)
+        .pop()
+        .unwrap();
 
     // A 3/1 split: the singleton shard restores just its one agent.
-    let (engines, pumps, halt) = build_groups(&[vec![0, 1, 2], vec![3]]);
     let skewed = digests_of(&run_groups(
-        engines,
-        pumps,
-        halt,
-        Some(Arc::clone(&full)),
+        build_groups(&[vec![0, 1, 2], vec![3]]),
+        Some(&full),
         END - MID,
     ));
 
-    let (engines, pumps, halt) = build_groups(&[(0..N).collect()]);
-    let straight = digests_of(&run_groups(engines, pumps, halt, None, END));
+    let straight = digests_of(&run_groups(build_groups(&[(0..N).collect()]), None, END));
     assert_eq!(straight, skewed, "3/1 restore diverged");
 }

@@ -132,6 +132,38 @@ pub enum TimedStop {
     Device,
     /// The core parked in WFI; the parking cycle is counted.
     Wfi,
+    /// [`TimedModel::stop_before`] refused the next instruction: it has
+    /// not issued, and its issue cycle is not counted.
+    Blocked,
+}
+
+/// The timing layer's side of a [`Cpu::run_timed`] dispatch.
+pub trait TimedModel {
+    /// Asked before each instruction issues, with the hart's state as it
+    /// stands at that point. `inst` is `None` when the decode cache could
+    /// not serve the fetch (misaligned, uncacheable or illegal word).
+    /// Returning true ends the run *before* the instruction: nothing of
+    /// it executes and its issue cycle is handed back
+    /// ([`TimedStop::Blocked`]). The default never refuses, and compiles
+    /// away.
+    #[inline(always)]
+    fn stop_before(&mut self, _pc: u64, _inst: Option<&Inst>, _cpu: &Cpu) -> bool {
+        false
+    }
+
+    /// Cycle cost of one retired instruction:
+    /// `(pc, inst, annot, taken_branch, mem, cycles_so_far)`, where
+    /// `annot` is the serving decode-cache slot's annotation (0 when
+    /// none).
+    fn retire(
+        &mut self,
+        pc: u64,
+        inst: &Inst,
+        annot: u16,
+        taken_branch: bool,
+        mem: Option<&MemAccess>,
+        cycles: u64,
+    ) -> TimedStep;
 }
 
 /// Result of one [`Cpu::run_timed`] dispatch.
@@ -235,6 +267,11 @@ impl Cpu {
     /// True when the hart currently holds an LR reservation.
     pub fn has_reservation(&self) -> bool {
         self.reservation.is_some()
+    }
+
+    /// The address of the hart's LR reservation, if it holds one.
+    pub fn reservation(&self) -> Option<u64> {
+        self.reservation
     }
 
     fn trap(&mut self, trap: Trap, tval: u64) -> StepOutcome {
@@ -593,14 +630,14 @@ impl Cpu {
 
     /// Runs up to `budget` *cycles* through the decode-cache fast path as
     /// one superblock dispatch, charging each instruction's cycle cost
-    /// via `cost_of` — the timed sibling of [`run_cached`](Self::run_cached),
+    /// via [`TimedModel::retire`] — the timed sibling of [`run_cached`](Self::run_cached),
     /// built for single-issue timing layers that would otherwise pay a
     /// full [`step_cached`](Self::step_cached) round trip (outcome
     /// materialization included) per instruction.
     ///
     /// Semantics are bit-identical to a caller loop that, per cycle,
     /// bumps `mcycle`, calls `step_cached`, charges
-    /// `cost_of(pc, inst, annot, taken_branch, mem, cycles_so_far)`
+    /// `model.retire(pc, inst, annot, taken_branch, mem, cycles_so_far)`
     /// for a retire (or `trap_extra` extra cycles for a trap), stalls
     /// `extra` cycles before the next issue, and calls
     /// [`Bus::elapse_timing_cycles`] once per issue cycle and once per
@@ -608,7 +645,10 @@ impl Cpu {
     ///
     /// * `mcycle` advances first, then interrupts are polled —
     ///   the same per-instruction poll as `step_cached`;
-    /// * a retire invokes `cost_of`; a returned nonzero
+    /// * [`TimedModel::stop_before`] sees every instruction before it
+    ///   executes, and a refusal ends the run with that issue cycle
+    ///   handed back;
+    /// * a retire invokes `model.retire`; a returned nonzero
     ///   [`TimedStep::annot`] is memoized into the serving decode-cache
     ///   slot, and [`TimedStep::stop`] ends the run right after the
     ///   offending cycle with the stall left *unfolded* in
@@ -624,17 +664,14 @@ impl Cpu {
     /// observability argument as [`run_cached`](Self::run_cached): only
     /// CSR instructions read it, and they funnel through the cold arm,
     /// which flushes first.
-    pub fn run_timed<B: Bus, F>(
+    pub fn run_timed<B: Bus, M: TimedModel>(
         &mut self,
         bus: &mut B,
         cache: &mut DecodeCache,
         budget: u64,
         trap_extra: u64,
-        mut cost_of: F,
-    ) -> TimedSummary
-    where
-        F: FnMut(u64, &Inst, u16, bool, Option<&MemAccess>, u64) -> TimedStep,
-    {
+        model: &mut M,
+    ) -> TimedSummary {
         let mut cycles = 0u64;
         let mut pending_retires = 0u64;
 
@@ -713,6 +750,17 @@ impl Cpu {
                 } else {
                     None
                 };
+                if model.stop_before(pc, served.as_ref().map(|s| &s.1), self) {
+                    // The issue cycle `mcycle` already counted never
+                    // happens here: hand it back with the run.
+                    self.csrs.mcycle = self.csrs.mcycle.wrapping_sub(1);
+                    self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
+                    return TimedSummary {
+                        cycles,
+                        stall: 0,
+                        stopped: TimedStop::Blocked,
+                    };
+                }
                 // Hot arms retire inline (mirroring `run_cached`, locked by
                 // the same differential tests); anything else falls through
                 // to one cold interpreter step below.
@@ -870,7 +918,7 @@ impl Cpu {
                     if let Some((taken_branch, mem_acc)) = hot {
                         pending_retires += 1;
                         retire_tail!(
-                            cost_of(pc, &inst, annot, taken_branch, mem_acc.as_ref(), cycles),
+                            model.retire(pc, &inst, annot, taken_branch, mem_acc.as_ref(), cycles),
                             pc
                         );
                         if cycles >= budget {
@@ -906,7 +954,14 @@ impl Cpu {
                         ..
                     } => {
                         retire_tail!(
-                            cost_of(pc, &inst, served_annot, taken_branch, mem.as_ref(), cycles),
+                            model.retire(
+                                pc,
+                                &inst,
+                                served_annot,
+                                taken_branch,
+                                mem.as_ref(),
+                                cycles
+                            ),
                             pc
                         );
                     }

@@ -60,7 +60,7 @@ pub mod mem;
 
 pub use csr::{CsrFile, Interrupt};
 pub use decode::{decode, DecodeError};
-pub use exec::{Cpu, MemAccess, StepOutcome, Trap};
+pub use exec::{Cpu, MemAccess, StepOutcome, TimedModel, Trap};
 pub use icache::{DecodeCache, DecodeCacheStats};
 pub use inst::Inst;
 pub use mem::{Bus, MemFault, Memory};

@@ -138,7 +138,8 @@ pub struct Cache {
     /// most recent access, or `u64::MAX` when unusable. Two consecutive
     /// accesses to one line are always a hit on the same slot — nothing
     /// can evict a line without itself being an access — so the repeat
-    /// path skips the set search entirely. Any `invalidate` resets it.
+    /// path skips the set search entirely. Invalidating a resident line
+    /// resets it.
     last_line: u64,
     /// Slot in `lines` that `last_line` resides in.
     last_slot: usize,
@@ -311,30 +312,69 @@ impl Cache {
 
     /// Invalidates the line containing `addr` (coherence shoot-down).
     /// Returns true when a valid line was present.
+    ///
+    /// An absent line leaves the host-only shortcuts alone: the repeat
+    /// shortcut's line is resident by construction, so it is not the one
+    /// being removed, and its deferred hits stay exactly equivalent.
     pub fn invalidate(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.index(addr);
+        let base = set * self.config.ways;
+        let Some(way) = self.lines[base..base + self.config.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+        else {
+            return false;
+        };
         // The removed line may be the repeat shortcut's target; settle
         // deferred bookkeeping against it first.
         if self.repeat_pending != 0 {
             self.flush_repeat();
         }
         self.last_line = u64::MAX;
-        let (set, tag) = self.index(addr);
-        let ways = self.config.ways;
-        let base = set * ways;
-        for l in &mut self.lines[base..base + ways] {
+        let l = &mut self.lines[base + way];
+        l.valid = false;
+        l.dirty = false;
+        true
+    }
+
+    /// `log2` of the line size: `addr >> line_shift()` is the line index.
+    pub fn line_shift(&self) -> u32 {
+        self.line_shift
+    }
+
+    /// Overwrites this cache's entire state, host-only shortcuts included,
+    /// with `src`'s, reusing this cache's buffers. Both caches must share
+    /// one geometry. Used to roll back a speculative span of hits.
+    pub fn copy_from(&mut self, src: &Cache) {
+        debug_assert_eq!(self.config, src.config, "copy_from across geometries");
+        self.lines.copy_from_slice(&src.lines);
+        self.mru.copy_from_slice(&src.mru);
+        self.stamp = src.stamp;
+        self.stats = src.stats;
+        self.last_line = src.last_line;
+        self.last_slot = src.last_slot;
+        self.repeat_pending = src.repeat_pending;
+    }
+
+    /// True when the line containing `addr` is resident. Side-effect
+    /// free; the repeat shortcut's line and the set's MRU way answer
+    /// without scanning the set.
+    #[inline]
+    pub fn contains(&self, addr: u64) -> bool {
+        let line_idx = addr >> self.line_shift;
+        if line_idx == self.last_line {
+            return true;
+        }
+        let set = (line_idx as usize) & (self.sets - 1);
+        let tag = line_idx >> self.set_shift;
+        let base = set * self.config.ways;
+        let hint = usize::from(self.mru[set]);
+        if hint < self.config.ways {
+            let l = &self.lines[base + hint];
             if l.valid && l.tag == tag {
-                l.valid = false;
-                l.dirty = false;
                 return true;
             }
         }
-        false
-    }
-
-    /// True when the line containing `addr` is resident.
-    pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        let base = set * self.config.ways;
         self.lines[base..base + self.config.ways]
             .iter()
             .any(|l| l.valid && l.tag == tag)
@@ -543,6 +583,44 @@ mod tests {
         plain.invalidate(0x1000);
         assert_eq!(snap(&memo), snap(&plain));
         assert_eq!(memo.stats(), plain.stats());
+        // Shooting down an absent line keeps the pending repeat hits
+        // deferred, and they stay bit-equivalent.
+        memo.access_fetch(0x1040);
+        memo.access_fetch(0x1044);
+        plain.access(0x1040, false);
+        plain.access(0x1044, false);
+        assert!(!memo.invalidate(0x9000));
+        assert!(!plain.invalidate(0x9000));
+        assert_ne!(memo.repeat_pending, 0);
+        assert_eq!(snap(&memo), snap(&plain));
+        assert_eq!(memo.stats(), plain.stats());
+    }
+
+    #[test]
+    fn contains_takes_shortcuts_without_side_effects() {
+        let mut c = tiny();
+        for a in [0x000, 0x080, 0x040, 0x000] {
+            c.access(a, false);
+        }
+        let before = format!("{:?}", c);
+        let resident: Vec<u64> = (0..0x400).step_by(8).filter(|&a| c.contains(a)).collect();
+        assert_eq!(format!("{:?}", c), before);
+        // 0x000 and 0x080 share set 0, 0x040 sits in set 1.
+        let lines: std::collections::BTreeSet<u64> = resident.iter().map(|a| a & !63).collect();
+        assert_eq!(lines.into_iter().collect::<Vec<_>>(), [0x000, 0x040, 0x080]);
+    }
+
+    #[test]
+    fn copy_from_restores_every_field() {
+        let mut c = tiny();
+        c.access(0x000, true);
+        let mut saved = tiny();
+        saved.copy_from(&c);
+        c.access_fetch(0x004);
+        c.access(0x080, true);
+        c.access(0x100, false);
+        c.copy_from(&saved);
+        assert_eq!(format!("{:?}", c), format!("{:?}", saved));
     }
 
     #[test]

@@ -154,6 +154,22 @@ impl MemSystem {
         self.dram.advance_to(cycle);
     }
 
+    /// Core `core`'s L1 instruction cache.
+    pub(crate) fn l1i(&self, core: usize) -> &Cache {
+        &self.l1i[core]
+    }
+
+    /// Core `core`'s L1 data cache.
+    pub(crate) fn l1d(&self, core: usize) -> &Cache {
+        &self.l1d[core]
+    }
+
+    /// Core `core`'s L1 instruction and data caches, for rolling them
+    /// back (see [`crate::TimingCore::restore_private`]).
+    pub(crate) fn l1s_mut(&mut self, core: usize) -> (&mut Cache, &mut Cache) {
+        (&mut self.l1i[core], &mut self.l1d[core])
+    }
+
     /// Invalidates `addr` in every L1 data cache except `except_core`
     /// (simple coherence shoot-down when another agent writes).
     pub fn shootdown(&mut self, addr: u64, except_core: Option<usize>) {

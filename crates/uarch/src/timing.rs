@@ -10,11 +10,12 @@
 //! effect of an instruction is applied on the cycle it *begins* and the
 //! core then stalls for the remaining cost.
 
-use firesim_riscv::exec::{Cpu, MemAccess, StepOutcome, TimedStep, TimedStop};
+use firesim_riscv::exec::{Cpu, MemAccess, StepOutcome, TimedModel, TimedStep, TimedStop};
 use firesim_riscv::icache::{DecodeCache, DecodeCacheStats};
 use firesim_riscv::inst::{Inst, MulDivOp};
 use firesim_riscv::mem::Bus;
 
+use crate::cache::Cache;
 use crate::memsys::{AccessKind, MemSystem};
 
 /// Pipeline timing parameters (cycles).
@@ -158,6 +159,300 @@ pub struct TraceEntry {
     pub cycle: u64,
     /// Its program counter.
     pub pc: u64,
+}
+
+/// Decides, before an instruction issues inside a guarded
+/// [`TimingCore::advance`], whether the span must end in front of it.
+pub trait IssueGuard {
+    /// True when the instruction at `pc` (`None`: the decode cache could
+    /// not serve it) must not issue inside the span. `cpu` is the hart's
+    /// state right before the instruction.
+    fn blocks(
+        &mut self,
+        mem: &MemSystem,
+        config: &TimingConfig,
+        core: usize,
+        pc: u64,
+        inst: Option<&Inst>,
+        cpu: &Cpu,
+    ) -> bool;
+}
+
+/// The guard of a single-hart span: nothing is refused, and the check
+/// compiles away.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unguarded;
+
+impl IssueGuard for Unguarded {
+    #[inline(always)]
+    fn blocks(
+        &mut self,
+        _: &MemSystem,
+        _: &TimingConfig,
+        _: usize,
+        _: u64,
+        _: Option<&Inst>,
+        _: &Cpu,
+    ) -> bool {
+        false
+    }
+}
+
+/// The guard of a multi-hart round: lets through only *private* ops,
+/// whose effects no other hart can observe while every L1's residency is
+/// frozen, and refuses every *shared* op (DESIGN §12):
+///
+/// * an L1I or L1D miss (the shared L2 and DRAM);
+/// * a store to a line resident in another hart's L1I or L1D, or
+///   reserved by another hart's LR;
+/// * an AMO, LR or SC;
+/// * MMIO (uncacheable fetch or data access);
+/// * a CSR access to `mip`;
+/// * a data access crossing a line boundary.
+///
+/// Lines proven private stay private for the whole round, so the guard
+/// remembers the last line it passed for fetches, loads and stores.
+#[derive(Debug)]
+pub struct PrivateOnly<'a> {
+    /// Every hart's LR reservation address at the round's start
+    /// (reservations can only be dropped inside a round, never set).
+    reservations: &'a [Option<u64>],
+    fetch_shift: u32,
+    data_shift: u32,
+    fetch_line: u64,
+    load_line: u64,
+    store_line: u64,
+}
+
+impl<'a> PrivateOnly<'a> {
+    /// A guard for one hart's run inside a round of `mem`'s harts;
+    /// `reservations[j]` is hart `j`'s reservation address.
+    pub fn new(reservations: &'a [Option<u64>], mem: &MemSystem) -> Self {
+        PrivateOnly {
+            reservations,
+            fetch_shift: mem.l1i(0).line_shift(),
+            data_shift: mem.l1d(0).line_shift(),
+            fetch_line: u64::MAX,
+            load_line: u64::MAX,
+            store_line: u64::MAX,
+        }
+    }
+
+    /// Slow path of a fetch from a line not yet proven resident.
+    #[cold]
+    #[inline(never)]
+    fn fetch_blocks(
+        &mut self,
+        mem: &MemSystem,
+        config: &TimingConfig,
+        core: usize,
+        pc: u64,
+    ) -> bool {
+        if !config.is_cacheable(pc) || !mem.l1i(core).contains(pc) {
+            return true;
+        }
+        self.fetch_line = pc >> self.fetch_shift;
+        false
+    }
+
+    /// Slow path of a data access to a line not yet proven private.
+    #[inline(never)]
+    fn data_blocks(
+        &mut self,
+        mem: &MemSystem,
+        config: &TimingConfig,
+        core: usize,
+        addr: u64,
+        is_store: bool,
+    ) -> bool {
+        if !config.is_cacheable(addr) || !mem.l1d(core).contains(addr) {
+            return true;
+        }
+        let line = addr >> self.data_shift;
+        if is_store {
+            for j in (0..mem.cores()).filter(|&j| j != core) {
+                if mem.l1i(j).contains(addr) || mem.l1d(j).contains(addr) {
+                    return true;
+                }
+                // Reservation granularity, as `Cpu::clobber_reservation`.
+                if self.reservations[j].is_some_and(|r| r & !63 == addr & !63) {
+                    return true;
+                }
+            }
+            self.store_line = line;
+        } else {
+            self.load_line = line;
+        }
+        false
+    }
+}
+
+impl IssueGuard for PrivateOnly<'_> {
+    #[inline(always)]
+    fn blocks(
+        &mut self,
+        mem: &MemSystem,
+        config: &TimingConfig,
+        core: usize,
+        pc: u64,
+        inst: Option<&Inst>,
+        cpu: &Cpu,
+    ) -> bool {
+        if pc >> self.fetch_shift != self.fetch_line && self.fetch_blocks(mem, config, core, pc) {
+            return true;
+        }
+        let (addr, size, is_store) = match inst {
+            Some(&Inst::Load {
+                width, rs1, imm, ..
+            }) => (
+                cpu.read_reg(rs1).wrapping_add(imm as u64),
+                width.bytes(),
+                false,
+            ),
+            Some(&Inst::Store {
+                width, rs1, imm, ..
+            }) => (
+                cpu.read_reg(rs1).wrapping_add(imm as u64),
+                width.bytes(),
+                true,
+            ),
+            None | Some(Inst::Amo { .. }) => return true,
+            Some(Inst::Csr { csr, .. }) => return *csr == firesim_riscv::csr::addr::MIP,
+            Some(_) => return false,
+        };
+        let line = addr >> self.data_shift;
+        if (addr.wrapping_add(size as u64 - 1) >> self.data_shift) != line {
+            return true;
+        }
+        if line == self.store_line || (!is_store && line == self.load_line) {
+            return false;
+        }
+        self.data_blocks(mem, config, core, addr, is_store)
+    }
+}
+
+/// Hart-private state of one [`TimingCore`] and its L1s, saved before a
+/// speculative round so a hart that runs past the round's horizon can be
+/// put back (see [`TimingCore::save_private`]).
+#[derive(Debug)]
+pub struct HartSnapshot {
+    cpu: Cpu,
+    stall: u64,
+    parked: bool,
+    retired: u64,
+    idle_cycles: u64,
+    l1i: Cache,
+    l1d: Cache,
+}
+
+/// The cost model of the superblock fast path, handed to
+/// [`Cpu::run_timed`]: the guard decides what may issue, the rest is
+/// [`TimingCore::retired_cost`] with the static extra memoized in the
+/// decode cache.
+struct RetireCost<'a, G> {
+    mem: &'a mut MemSystem,
+    config: &'a TimingConfig,
+    retired: &'a mut u64,
+    core: usize,
+    span_base: u64,
+    guard: &'a mut G,
+}
+
+impl<G: IssueGuard> TimedModel for RetireCost<'_, G> {
+    #[inline(always)]
+    fn stop_before(&mut self, pc: u64, inst: Option<&Inst>, cpu: &Cpu) -> bool {
+        self.guard
+            .blocks(self.mem, self.config, self.core, pc, inst, cpu)
+    }
+
+    #[inline(always)]
+    fn retire(
+        &mut self,
+        pc: u64,
+        inst: &Inst,
+        annot: u16,
+        taken_branch: bool,
+        acc: Option<&MemAccess>,
+        span_cycles: u64,
+    ) -> TimedStep {
+        let (config, mem, core_idx) = (self.config, &mut *self.mem, self.core);
+        *self.retired += 1;
+        let now = self.span_base + span_cycles;
+        let mut cost = 1u64;
+        // Fetch path: charge everything beyond a pipelined L1I hit.
+        if config.is_cacheable(pc) {
+            let lat = mem.access(core_idx, AccessKind::Fetch, pc, now);
+            cost += lat - mem.config().l1_hit_cycles;
+        }
+        // Execute path: the static extra rides along as the decode-cache
+        // annotation (`extra + 1`; 0 = not yet computed).
+        let mut memo = 0u16;
+        if annot != 0 {
+            cost += u64::from(annot - 1);
+        } else {
+            let extra = static_extra(config, inst);
+            cost += extra;
+            memo = u16::try_from(extra + 1).unwrap_or(0);
+        }
+        if taken_branch {
+            cost += config.branch_taken_penalty;
+        }
+        // Memory path; anything uncacheable (MMIO fetch or data) ends the
+        // batch after this cycle.
+        let mut stop = !config.is_cacheable(pc);
+        if let Some(a) = acc {
+            if config.is_cacheable(a.addr) {
+                let kind = if a.is_amo {
+                    AccessKind::Amo
+                } else if a.is_store {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                let lat = mem.access(core_idx, kind, a.addr, now);
+                cost += match kind {
+                    AccessKind::Store if lat == mem.config().l1_hit_cycles => 0,
+                    AccessKind::Amo => lat + config.amo_extra_cycles,
+                    _ => lat,
+                };
+            } else {
+                cost += config.mmio_cycles;
+                stop = true;
+            }
+        }
+        // A software MIP write would be overwritten by the next wiring;
+        // hand control back first.
+        if matches!(inst, Inst::Csr { csr, .. } if *csr == firesim_riscv::csr::addr::MIP) {
+            stop = true;
+        }
+        TimedStep {
+            extra: cost - 1,
+            stop,
+            annot: memo,
+        }
+    }
+}
+
+/// Static execute-path extra cycles of `inst`: multiply/divide latency
+/// and the jump redirect. A pure function of the decoded instruction,
+/// which is what lets the decode cache memoize it.
+#[inline]
+fn static_extra(config: &TimingConfig, inst: &Inst) -> u64 {
+    match inst {
+        Inst::MulDiv { op, .. } => {
+            let is_div = matches!(
+                op,
+                MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu
+            );
+            if is_div {
+                config.div_cycles - 1
+            } else {
+                config.mul_cycles - 1
+            }
+        }
+        Inst::Jal { .. } | Inst::Jalr { .. } => config.jump_penalty,
+        _ => 0,
+    }
 }
 
 /// One core with Rocket-like timing.
@@ -364,6 +659,54 @@ impl TimingCore {
         }
     }
 
+    /// True when [`advance`](Self::advance) runs this core through the
+    /// superblock fast path ([`Cpu::run_timed`]): single issue, decode
+    /// cache on, tracing off. Only such cores can honor an
+    /// [`IssueGuard`] other than [`Unguarded`].
+    pub fn batches_superblocks(&self) -> bool {
+        self.config.issue_width <= 1 && self.trace.is_none() && self.icache.is_some()
+    }
+
+    /// Saves this hart's private state — the functional core, the timing
+    /// scalars and its own L1I/L1D in `mem` — into `snap`, reusing its
+    /// buffers. Decode-cache contents are host-side and self-validating,
+    /// so they are left alone.
+    pub fn save_private(&self, mem: &MemSystem, core: usize, snap: &mut HartSnapshot) {
+        snap.cpu.clone_from(&self.cpu);
+        snap.stall = self.stall;
+        snap.parked = self.parked;
+        snap.retired = self.retired;
+        snap.idle_cycles = self.idle_cycles;
+        snap.l1i.copy_from(mem.l1i(core));
+        snap.l1d.copy_from(mem.l1d(core));
+    }
+
+    /// A fresh snapshot buffer for [`save_private`](Self::save_private).
+    pub fn new_snapshot(&self, mem: &MemSystem, core: usize) -> HartSnapshot {
+        HartSnapshot {
+            cpu: self.cpu.clone(),
+            stall: self.stall,
+            parked: self.parked,
+            retired: self.retired,
+            idle_cycles: self.idle_cycles,
+            l1i: mem.l1i(core).clone(),
+            l1d: mem.l1d(core).clone(),
+        }
+    }
+
+    /// Puts back what [`save_private`](Self::save_private) saved. The
+    /// caller restores the memory the hart wrote since.
+    pub fn restore_private(&mut self, mem: &mut MemSystem, core: usize, snap: &HartSnapshot) {
+        self.cpu.clone_from(&snap.cpu);
+        self.stall = snap.stall;
+        self.parked = snap.parked;
+        self.retired = snap.retired;
+        self.idle_cycles = snap.idle_cycles;
+        let (l1i, l1d) = mem.l1s_mut(core);
+        l1i.copy_from(&snap.l1i);
+        l1d.copy_from(&snap.l1d);
+    }
+
     /// Batched issue: advances up to `budget` target cycles without
     /// returning to the caller between cycles, bit-identical to `budget`
     /// calls of [`TimingCore::tick`] with `now = base + cycles_so_far`,
@@ -380,13 +723,19 @@ impl TimingCore {
     /// ordinary memory accumulate on the bus for the caller to process —
     /// reservation clobbers and L1 shoot-downs of *other* cores commute
     /// with the skipped cycles because those cores never run in-batch.
-    pub fn advance<B: Bus>(
+    ///
+    /// `guard` sees every instruction before it issues; a refusal ends
+    /// the batch right *before* it, with the core ready to issue it on
+    /// the next cycle. Guards other than [`Unguarded`] require
+    /// [`batches_superblocks`](Self::batches_superblocks).
+    pub fn advance<B: Bus, G: IssueGuard>(
         &mut self,
         bus: &mut B,
         mem: &mut MemSystem,
         core_idx: usize,
         base: u64,
         budget: u64,
+        guard: &mut G,
     ) -> u64 {
         let mut used = 0u64;
         while used < budget {
@@ -416,9 +765,7 @@ impl TimingCore {
             // cost model inlined per retire. Bit-identical to the
             // per-cycle body below (see `Cpu::run_timed`); trace mode
             // and superscalar issue keep the general loop.
-            if self.config.issue_width <= 1 && self.trace.is_none() && self.icache.is_some() {
-                let span_base = base + used;
-                let span_budget = budget - used;
+            if self.batches_superblocks() {
                 let TimingCore {
                     cpu,
                     icache,
@@ -430,84 +777,15 @@ impl TimingCore {
                 let summary = cpu.run_timed(
                     bus,
                     cache,
-                    span_budget,
+                    budget - used,
                     config.trap_cycles,
-                    |pc, inst, annot, taken_branch, acc, span_cycles| {
-                        *retired += 1;
-                        let now = span_base + span_cycles;
-                        let mut cost = 1u64;
-                        // Fetch path: charge everything beyond a
-                        // pipelined L1I hit.
-                        if config.is_cacheable(pc) {
-                            let lat = mem.access(core_idx, AccessKind::Fetch, pc, now);
-                            cost += lat - mem.config().l1_hit_cycles;
-                        }
-                        // Execute path: the static extra rides along as
-                        // the decode-cache annotation (`extra + 1`;
-                        // 0 = not yet computed).
-                        let mut memo = 0u16;
-                        if annot != 0 {
-                            cost += u64::from(annot - 1);
-                        } else {
-                            let extra = match inst {
-                                Inst::MulDiv { op, .. } => {
-                                    let is_div = matches!(
-                                        op,
-                                        MulDivOp::Div
-                                            | MulDivOp::Divu
-                                            | MulDivOp::Rem
-                                            | MulDivOp::Remu
-                                    );
-                                    if is_div {
-                                        config.div_cycles - 1
-                                    } else {
-                                        config.mul_cycles - 1
-                                    }
-                                }
-                                Inst::Jal { .. } | Inst::Jalr { .. } => config.jump_penalty,
-                                _ => 0,
-                            };
-                            cost += extra;
-                            memo = u16::try_from(extra + 1).unwrap_or(0);
-                        }
-                        if taken_branch {
-                            cost += config.branch_taken_penalty;
-                        }
-                        // Memory path; anything uncacheable (MMIO fetch
-                        // or data) ends the batch after this cycle.
-                        let mut stop = !config.is_cacheable(pc);
-                        if let Some(a) = acc {
-                            if config.is_cacheable(a.addr) {
-                                let kind = if a.is_amo {
-                                    AccessKind::Amo
-                                } else if a.is_store {
-                                    AccessKind::Store
-                                } else {
-                                    AccessKind::Load
-                                };
-                                let lat = mem.access(core_idx, kind, a.addr, now);
-                                cost += match kind {
-                                    AccessKind::Store if lat == mem.config().l1_hit_cycles => 0,
-                                    AccessKind::Amo => lat + config.amo_extra_cycles,
-                                    _ => lat,
-                                };
-                            } else {
-                                cost += config.mmio_cycles;
-                                stop = true;
-                            }
-                        }
-                        // A software MIP write would be overwritten by
-                        // the next wiring; hand control back first.
-                        if matches!(inst, Inst::Csr { csr, .. }
-                            if *csr == firesim_riscv::csr::addr::MIP)
-                        {
-                            stop = true;
-                        }
-                        TimedStep {
-                            extra: cost - 1,
-                            stop,
-                            annot: memo,
-                        }
+                    &mut RetireCost {
+                        mem: &mut *mem,
+                        config,
+                        retired,
+                        core: core_idx,
+                        span_base: base + used,
+                        guard: &mut *guard,
                     },
                 );
                 used += summary.cycles;
@@ -517,7 +795,7 @@ impl TimingCore {
                         self.parked = true;
                         self.idle_cycles += 1;
                     }
-                    TimedStop::Device => break,
+                    TimedStop::Device | TimedStop::Blocked => break,
                     TimedStop::Budget => {}
                 }
                 continue;
@@ -736,21 +1014,7 @@ impl TimingCore {
         if memoized != 0 {
             cost += u64::from(memoized - 1);
         } else {
-            let extra = match inst {
-                Inst::MulDiv { op, .. } => {
-                    let is_div = matches!(
-                        op,
-                        MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu
-                    );
-                    if is_div {
-                        self.config.div_cycles - 1
-                    } else {
-                        self.config.mul_cycles - 1
-                    }
-                }
-                Inst::Jal { .. } | Inst::Jalr { .. } => self.config.jump_penalty,
-                _ => 0,
-            };
+            let extra = static_extra(&self.config, inst);
             cost += extra;
             if let (Some(cache), Ok(a)) = (&mut self.icache, u16::try_from(extra + 1)) {
                 cache.set_annotation(pc, a);

@@ -10,6 +10,13 @@
 //! window by window, and demand that every full blade snapshot
 //! (registers, CSRs including `mcycle`/`minstret`, caches, DRAM,
 //! devices, probe) and every output token window match byte for byte.
+//!
+//! Quad-core programs come in three mixes: hart-private scratch only,
+//! harts sharing lines (cross-hart stores and loads, a flag handoff,
+//! AMOs, LR/SC, FENCE, MMIO, timer WFI), and mostly-private code with
+//! sparse sharing, which makes multi-hart rounds roll harts back.
+
+use std::collections::BTreeMap;
 
 use firesim_blade::{programs, BladeConfig, RtlBlade};
 use firesim_core::snapshot::{Checkpoint, SnapshotWriter};
@@ -57,8 +64,15 @@ const SCRATCH: u64 = DRAM_BASE + 0x4000;
 /// Registers x10-x17 hold working data; x28 is the hart's scratch base;
 /// x5-x7 and x29-x31 are free temporaries.
 fn emit_random_inst(a: &mut Assembler, rng: &mut Rng, uniq: &mut u32, sends: &mut u32) {
+    let pick = rng.below(16);
+    emit_pick(a, rng, pick, uniq, sends);
+}
+
+/// Emits draw `pick` (0-15) of [`emit_random_inst`]. Picks 0-11 never
+/// leave the hart: ALU, multiply/divide, scratch memory and branches.
+fn emit_pick(a: &mut Assembler, rng: &mut Rng, pick: u64, uniq: &mut u32, sends: &mut u32) {
     let data_reg = |rng: &mut Rng| 10 + rng.below(8) as u8;
-    match rng.below(16) {
+    match pick {
         0..=4 => {
             let (rd, rs1, rs2) = (data_reg(rng), data_reg(rng), data_reg(rng));
             match rng.below(8) {
@@ -176,19 +190,195 @@ fn emit_random_inst(a: &mut Assembler, rng: &mut Rng, uniq: &mut u32, sends: &mu
     }
 }
 
+/// Lines every hart touches: four data lines, then a handoff flag and
+/// an atomic counter on lines of their own.
+const SHARED: u64 = DRAM_BASE + 0x6000;
+const FLAG: u64 = SHARED + 0x100;
+const COUNTER: u64 = SHARED + 0x140;
+
+/// Which instructions a random program's loop body draws from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mix {
+    /// ALU, branches, hart-private memory, MMIO, CSRs, WFI, NIC sends.
+    Private,
+    /// Harts share lines: every draw may be a shared op.
+    Shared,
+    /// Mostly ALU/branch/private-memory code, with a shared op about
+    /// one draw in twenty.
+    Sparse,
+}
+
+/// Emits one shared-memory or MMIO idiom. x27 holds the hart id, x26
+/// the shared base; x5-x7 and x29-x31 are temporaries.
+fn emit_shared_inst(a: &mut Assembler, rng: &mut Rng, uniq: &mut u32) {
+    let data_reg = |rng: &mut Rng| 10 + rng.below(8) as u8;
+    let label = |uniq: &mut u32, what: &str| {
+        *uniq += 1;
+        format!("{what}{}", *uniq)
+    };
+    match rng.below(11) {
+        0..=1 => {
+            // Cross-hart store or load on one of the four shared lines.
+            let off = (rng.below(32) * 8) as i64;
+            if rng.below(2) == 0 {
+                a.sd(data_reg(rng), 26, off);
+            } else {
+                a.ld(data_reg(rng), 26, off);
+            }
+        }
+        2 => {
+            // AMO add on the shared counter.
+            a.li(29, COUNTER as i64);
+            a.li(7, 1);
+            a.amoadd_d(data_reg(rng), 7, 29);
+        }
+        3 => {
+            // LR/SC increment of the shared counter, retried a bounded
+            // number of times when another hart's store clobbers it.
+            let retry = label(uniq, "retry");
+            let done = label(uniq, "scdone");
+            a.li(29, COUNTER as i64);
+            a.li(30, 8);
+            a.label(retry.clone());
+            a.lr_d(5, 29);
+            a.addi(5, 5, 1);
+            a.sc_d(6, 5, 29);
+            a.beqz(6, done.clone());
+            a.addi(30, 30, -1);
+            a.bnez(30, retry);
+            a.label(done);
+        }
+        4 => a.fence(),
+        5 => {
+            // Flag handoff: spin (bounded) until the flag names this
+            // hart, then pass it on. Every hart runs the same loop body,
+            // so the turns go round; the bound only guards against a
+            // hart parked with its timer disarmed.
+            let spin = label(uniq, "spin");
+            let go = label(uniq, "go");
+            let out = label(uniq, "handoff");
+            a.li(29, FLAG as i64);
+            a.li(30, 600);
+            a.label(spin.clone());
+            a.ld(5, 29, 0);
+            a.andi(6, 5, 3);
+            a.beq(6, 27, go.clone());
+            a.addi(30, 30, -1);
+            a.bnez(30, spin);
+            a.j(out.clone());
+            a.label(go);
+            a.addi(5, 5, 1);
+            a.sd(5, 29, 0);
+            a.label(out);
+        }
+        6 => {
+            // MMIO read of the CLINT's mtime.
+            a.li(30, (CLINT_BASE + clint::MTIME) as i64);
+            a.ld(data_reg(rng), 30, 0);
+        }
+        7 => {
+            // MMIO write: a UART byte.
+            a.li(30, (UART_BASE + uart::reg::TXDATA) as i64);
+            a.sb(data_reg(rng), 30, 0);
+        }
+        9 => {
+            // LR, then four loads into the counter line's L1 set that
+            // evict it from this hart's L1D while the reservation stays,
+            // then a pause and SC: a plain store to the line by another
+            // hart in the meantime must still clobber the reservation.
+            let pause = label(uniq, "pause");
+            a.li(29, COUNTER as i64);
+            a.lr_d(5, 29);
+            for k in 1..=4 {
+                a.li(30, (COUNTER + k * 4096) as i64);
+                a.ld(6, 30, 0);
+            }
+            a.li(31, 64);
+            a.label(pause.clone());
+            a.addi(31, 31, -1);
+            a.bnez(31, pause);
+            a.addi(5, 5, 1);
+            a.sc_d(6, 5, 29);
+        }
+        10 => {
+            // Plain store next to the counter.
+            a.li(29, COUNTER as i64);
+            a.sd(data_reg(rng), 29, 8);
+        }
+        _ => {
+            // Per-hart timer WFI, as in the private mix but with a
+            // deadline one to three `mtime` ticks out, so harts come back
+            // within the test's windows.
+            let delta = 1 + rng.below(3) as i64;
+            a.slli(5, 27, 3);
+            a.li(6, (CLINT_BASE + clint::MTIMECMP_BASE) as i64);
+            a.add(5, 5, 6);
+            a.li(6, (CLINT_BASE + clint::MTIME) as i64);
+            a.ld(7, 6, 0);
+            a.addi(7, 7, delta);
+            a.sd(7, 5, 0);
+            a.li(6, 1 << 7); // MIE.MTIE
+            a.csrs(csr::MIE, 6);
+            a.csrsi(csr::MSTATUS, 8); // MSTATUS.MIE
+            a.wfi();
+        }
+    }
+}
+
+/// Emits one loop-body draw of `mix`.
+fn emit_mix_inst(a: &mut Assembler, rng: &mut Rng, mix: Mix, uniq: &mut u32, sends: &mut u32) {
+    match mix {
+        Mix::Private => emit_random_inst(a, rng, uniq, sends),
+        Mix::Shared => {
+            // The private mix's WFI (pick 14) sleeps for longer than the
+            // test runs; the shared draws bring their own, shorter one.
+            let pick = rng.below(16);
+            if rng.below(2) == 0 || pick == 14 {
+                emit_shared_inst(a, rng, uniq);
+            } else {
+                emit_pick(a, rng, pick, uniq, sends);
+            }
+        }
+        Mix::Sparse => {
+            match rng.below(20) {
+                0 => emit_shared_inst(a, rng, uniq),
+                1 => {
+                    // Read-modify-write of a hart-private counter: a
+                    // hart rolled back without its stores undone would
+                    // re-read a later count.
+                    a.ld(5, 28, 2040);
+                    a.addi(5, 5, 1);
+                    a.sd(5, 28, 2040);
+                }
+                _ => {
+                    let pick = rng.below(12);
+                    emit_pick(a, rng, pick, uniq, sends);
+                }
+            }
+        }
+    }
+}
+
 const FRAME_LEN: u64 = 64;
 
 /// Builds a seed-keyed random program: a trap handler, per-hart scratch
 /// setup, randomized register seeds, and an infinite loop of 24-64
 /// random instructions.
 fn random_program(seed: u64) -> programs::Program {
+    random_program_mix(seed, Mix::Private)
+}
+
+/// [`random_program`] drawing its loop body from `mix`. The sharing
+/// mixes also make each hart's registers and start time differ, so the
+/// harts reach their shared ops at different cycles.
+fn random_program_mix(seed: u64, mix: Mix) -> programs::Program {
     let mut rng = Rng::new(seed);
     let mut a = Assembler::new(DRAM_BASE);
 
     a.j("entry");
 
     // Timer trap handler: disarm this hart's comparator (mtimecmp = all
-    // ones never fires) and return. Clobbers x5/x6 — fine, the main loop
+    // ones never fires) and return. Clobbers x5-x7 — fine, the main loop
     // treats them as temporaries.
     a.label("trap");
     a.csrr(5, csr::MHARTID);
@@ -197,6 +387,18 @@ fn random_program(seed: u64) -> programs::Program {
     a.add(5, 5, 6);
     a.li(6, -1);
     a.sd(6, 5, 0);
+    if mix != Mix::Private {
+        // A wakeup leaves `mepc` on the WFI itself; step past it so the
+        // hart resumes its loop instead of parking again for good.
+        let wfi = firesim_riscv::encode::encode(&firesim_riscv::Inst::Wfi);
+        a.csrr(5, csr::MEPC);
+        a.lwu(6, 5, 0);
+        a.li(7, i64::from(wfi));
+        a.bne(6, 7, "trap_ret");
+        a.addi(5, 5, 4);
+        a.csrw(csr::MEPC, 5);
+        a.label("trap_ret");
+    }
     a.mret();
 
     a.label("entry");
@@ -210,12 +412,25 @@ fn random_program(seed: u64) -> programs::Program {
     for r in 10..=17 {
         a.li(r, rng.next() as i64);
     }
+    if mix != Mix::Private {
+        a.csrr(27, csr::MHARTID);
+        a.li(26, SHARED as i64);
+        // Hart-dependent data and a hart-dependent head start.
+        a.addi(5, 27, 1);
+        for r in 10..=17 {
+            a.mul(r, r, 5);
+        }
+        a.slli(5, 27, 5);
+        a.label("stagger");
+        a.addi(5, 5, -1);
+        a.bge(5, 0, "stagger");
+    }
 
     let mut uniq = 0u32;
     let mut sends = 0u32;
     a.label("loop");
     for _ in 0..(24 + rng.below(40)) {
-        emit_random_inst(&mut a, &mut rng, &mut uniq, &mut sends);
+        emit_mix_inst(&mut a, &mut rng, mix, &mut uniq, &mut sends);
     }
     a.j("loop");
 
@@ -233,6 +448,17 @@ fn random_program(seed: u64) -> programs::Program {
 }
 
 fn build_blade(program: &programs::Program, cores: usize, reference: bool) -> RtlBlade {
+    build_blade_with(program, cores, reference, false)
+}
+
+/// [`build_blade`], optionally keeping multi-hart rounds on however
+/// short they come out (`RtlBlade::keep_short_rounds`).
+fn build_blade_with(
+    program: &programs::Program,
+    cores: usize,
+    reference: bool,
+    eager: bool,
+) -> RtlBlade {
     let mut config = match cores {
         1 => BladeConfig::single_core(),
         _ => BladeConfig::quad_core(),
@@ -241,6 +467,9 @@ fn build_blade(program: &programs::Program, cores: usize, reference: bool) -> Rt
     config.timing.reference_timing = reference;
     let mut blade = RtlBlade::new("b", MacAddr::from_node_index(0), config);
     program.install(&mut blade);
+    if eager {
+        blade.keep_short_rounds();
+    }
     blade
 }
 
@@ -260,24 +489,61 @@ fn advance_window(blade: &mut RtlBlade, now: u64) -> Vec<TokenWindow<Flit>> {
 /// Runs one seed through both timing schedules, comparing full blade
 /// snapshots and output tokens after every window.
 fn assert_equivalent(seed: u64, cores: usize, windows: u64) {
-    let program = random_program(seed);
-    let mut reference = build_blade(&program, cores, true);
-    let mut batched = build_blade(&program, cores, false);
+    assert_program_equivalent(
+        &random_program(seed),
+        &format!("seed {seed}"),
+        cores,
+        windows,
+    );
+}
+
+/// Runs `program` through both timing schedules window by window and
+/// returns the batched blade's app counters after every window.
+fn assert_program_equivalent(
+    program: &programs::Program,
+    what: &str,
+    cores: usize,
+    windows: u64,
+) -> Vec<BTreeMap<String, u64>> {
+    assert_program_equivalent_with(program, what, cores, windows, false)
+}
+
+/// [`assert_program_equivalent`]; with `eager`, the batched blade runs
+/// multi-hart rounds however short they come out instead of backing off
+/// to per-cycle stepping, so shared-op-heavy programs exercise rounds.
+fn assert_program_equivalent_with(
+    program: &programs::Program,
+    what: &str,
+    cores: usize,
+    windows: u64,
+    eager: bool,
+) -> Vec<BTreeMap<String, u64>> {
+    let mut reference = build_blade(program, cores, true);
+    let mut batched = build_blade_with(program, cores, false, eager);
     let mut now = 0u64;
+    let mut per_window = Vec::new();
     for window in 0..windows {
         let out_ref = advance_window(&mut reference, now);
         let out_bat = advance_window(&mut batched, now);
         assert!(
             out_ref == out_bat,
-            "seed {seed} ({cores} cores): output tokens diverged in window {window}"
+            "{what} ({cores} cores): output tokens diverged in window {window}"
         );
         assert_eq!(
             snapshot(&reference),
             snapshot(&batched),
-            "seed {seed} ({cores} cores): blade snapshots diverged after window {window}"
+            "{what} ({cores} cores): blade snapshots diverged after window {window}"
         );
+        per_window.push(counters(&batched));
         now += u64::from(WINDOW);
     }
+    per_window
+}
+
+fn counters(blade: &RtlBlade) -> BTreeMap<String, u64> {
+    let mut out = Vec::new();
+    blade.app_counters(&mut out);
+    out.into_iter().collect()
 }
 
 #[test]
@@ -292,6 +558,202 @@ fn randomized_programs_quad_core() {
     for seed in [7, 8] {
         assert_equivalent(seed, 4, 24);
     }
+}
+
+/// Harts sharing lines: cross-hart stores and loads, a flag handoff,
+/// AMO adds, LR/SC retries, FENCE, MMIO from every hart and per-hart
+/// timer WFI, in random interleavings. Checked with and without the
+/// backoff from short rounds to per-cycle stepping.
+#[test]
+fn randomized_programs_quad_core_sharing() {
+    for seed in [9, 10, 11, 12] {
+        let program = random_program_mix(seed, Mix::Shared);
+        for eager in [false, true] {
+            let what = format!("shared seed {seed}, eager {eager}");
+            assert_program_equivalent_with(&program, &what, 4, 24, eager);
+        }
+    }
+}
+
+/// Mostly private code with sparse sharing: harts reach their shared
+/// ops at different cycles, so multi-hart rounds overshoot and roll
+/// back — and the result still matches the reference byte for byte.
+#[test]
+fn sparse_sharing_rolls_back_and_matches_reference() {
+    for eager in [false, true] {
+        let mut rollbacks = 0;
+        for seed in [13, 14, 15] {
+            let program = random_program_mix(seed, Mix::Sparse);
+            let what = format!("sparse seed {seed}, eager {eager}");
+            let per_window = assert_program_equivalent_with(&program, &what, 4, 24, eager);
+            let c = &per_window[per_window.len() - 1];
+            rollbacks += c["host_sched_rollbacks"];
+            assert!(c["host_sched_rounds"] > 0, "{what}: no rounds");
+        }
+        assert!(
+            rollbacks > 0,
+            "sparse sharing never rolled a hart back (eager {eager})"
+        );
+    }
+}
+
+/// A store that looks private to the cache tags must still count as
+/// shared when another hart holds an LR reservation on its line: hart 0
+/// reserves the counter line and then evicts it from its own L1D, hart
+/// 1 (which still caches the line) stores to it, and hart 0's SC must
+/// fail exactly as in the reference loop.
+#[test]
+fn store_to_a_reserved_line_clobbers_the_reservation() {
+    let delay = |a: &mut Assembler, name: &str, n: i64| {
+        a.li(31, n);
+        a.label(name);
+        a.addi(31, 31, -1);
+        a.bnez(31, name);
+    };
+    let mut a = Assembler::new(DRAM_BASE);
+    a.li(29, COUNTER as i64);
+    a.csrr(5, csr::MHARTID);
+    a.beqz(5, "reserver");
+    a.li(6, 1);
+    a.beq(5, 6, "storer");
+    a.label("park");
+    a.wfi();
+    a.j("park");
+
+    a.label("storer");
+    a.ld(7, 29, 0); // cache the counter line
+    delay(&mut a, "storer_wait", 2000);
+    a.li(7, 42);
+    a.sd(7, 29, 8);
+    a.label("storer_spin");
+    a.j("storer_spin");
+
+    a.label("reserver");
+    delay(&mut a, "reserver_wait", 200);
+    a.lr_d(5, 29);
+    for k in 1..=4 {
+        a.li(30, (COUNTER + k * 4096) as i64);
+        a.ld(6, 30, 0);
+    }
+    delay(&mut a, "reserver_hold", 4000);
+    a.addi(5, 5, 1);
+    a.sc_d(6, 5, 29);
+    a.li(30, firesim_blade::POWEROFF_ADDR as i64);
+    a.sd(6, 30, 0); // exit code: the SC result
+    a.label("reserver_spin");
+    a.j("reserver_spin");
+    let program = programs::Program {
+        image: a.assemble().unwrap(),
+        dram_init: Vec::new(),
+        mailbox: (programs::MAILBOX, 8),
+    };
+    let per_window = assert_program_equivalent(&program, "reserved line", 4, 8);
+    let c = &per_window[per_window.len() - 1];
+    assert_eq!(
+        c["powered_off"], 1,
+        "the reserver never reached its SC: {c:?}"
+    );
+    let mut reference = build_blade(&program, 4, true);
+    let probe = reference.probe();
+    for w in 0..8 {
+        advance_window(&mut reference, w * u64::from(WINDOW));
+    }
+    assert_eq!(probe.lock().exit_code, Some(1), "SC must fail");
+}
+
+/// A store into code another hart is running is shared even when no
+/// other L1D holds the line: hart 1 patches an instruction in hart 0's
+/// hot loop, which only hart 0's L1I caches, and hart 0 must switch to
+/// the new instruction on exactly the reference loop's cycle.
+#[test]
+fn store_into_another_harts_code_is_shared() {
+    let mut patch = Assembler::new(DRAM_BASE);
+    patch.addi(10, 10, 2);
+    let patched = patch.assemble().unwrap();
+    let patched = u32::from_le_bytes(patched[..4].try_into().unwrap());
+
+    let mut a = Assembler::new(DRAM_BASE);
+    a.csrr(5, csr::MHARTID);
+    a.beqz(5, "hot");
+    a.li(6, 1);
+    a.beq(5, 6, "patcher");
+    a.label("park");
+    a.wfi();
+    a.j("park");
+
+    a.label("patcher");
+    a.la(7, "site");
+    a.lw(8, 7, 0); // cache the code line as data
+    a.li(31, 1500);
+    a.label("patcher_wait");
+    a.addi(31, 31, -1);
+    a.bnez(31, "patcher_wait");
+    a.li(8, i64::from(patched));
+    a.sw(8, 7, 0);
+    a.label("patcher_spin");
+    a.j("patcher_spin");
+
+    a.label("hot");
+    a.label("site");
+    a.addi(10, 10, 1);
+    a.addi(11, 11, 1);
+    a.j("hot");
+    let program = programs::Program {
+        image: a.assemble().unwrap(),
+        dram_init: Vec::new(),
+        mailbox: (programs::MAILBOX, 8),
+    };
+    assert_program_equivalent(&program, "code patch", 4, 6);
+}
+
+/// The perfbench quad-core compute node: four harts each run a
+/// xorshift loop that stores into a hart-private page. Apart from cold
+/// misses every cycle is hosted by multi-hart rounds, and once the
+/// harts are warm no hart ever stops early, so no round rolls one back.
+#[test]
+fn quad_alu_blade_runs_in_rounds_without_rollbacks() {
+    let mut a = Assembler::new(DRAM_BASE);
+    a.csrr(5, csr::MHARTID);
+    a.slli(6, 5, 12);
+    a.li(22, (DRAM_BASE + 0x8_0000) as i64);
+    a.add(22, 22, 6); // this hart's private page
+    a.addi(8, 5, 0x123);
+    a.label("round");
+    a.li(9, 1000);
+    a.li(10, 0);
+    a.label("step");
+    a.slli(11, 8, 13);
+    a.xor(8, 8, 11);
+    a.srli(11, 8, 7);
+    a.xor(8, 8, 11);
+    a.slli(11, 8, 17);
+    a.xor(8, 8, 11);
+    a.add(10, 10, 8);
+    a.sd(10, 22, 0);
+    a.addi(9, 9, -1);
+    a.bnez(9, "step");
+    a.addi(23, 23, 1);
+    a.sd(23, 22, 8);
+    a.j("round");
+    let program = programs::Program {
+        image: a.assemble().unwrap(),
+        dram_init: Vec::new(),
+        mailbox: (programs::MAILBOX, 8),
+    };
+    let per_window = assert_program_equivalent(&program, "quad ALU", 4, 64);
+    let (warm, c) = (&per_window[1], &per_window[per_window.len() - 1]);
+    let hosted = c["host_sched_skip_cycles"]
+        + c["host_sched_round_cycles"]
+        + c["host_sched_fallback_cycles"];
+    assert_eq!(hosted, 64 * u64::from(WINDOW), "{c:?}");
+    assert!(
+        c["host_sched_round_cycles"] * 100 >= hosted * 99,
+        "under 99% of cycles in rounds: {c:?}"
+    );
+    assert_eq!(
+        c["host_sched_rollbacks"], warm["host_sched_rollbacks"],
+        "warm harts rolled back: {c:?}"
+    );
 }
 
 /// A fully parked blade (every hart in WFI, interrupts masked) is the
