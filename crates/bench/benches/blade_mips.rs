@@ -6,10 +6,12 @@
 //! drift hits every variant equally; minimum time per variant, because
 //! noise only ever slows a sample down):
 //!
-//! * **ISA layer** — the bare functional core stepping an
-//!   instruction-dense loop through `Cpu::step` vs `Cpu::step_cached`.
-//!   This isolates the fetch/decode cost the cache removes and is the
-//!   headline speedup number.
+//! * **ISA layer** — the bare functional core running an
+//!   instruction-dense loop through the plain interpreter (`Cpu::step`)
+//!   vs the functional superblock dispatch that sampled fast-forward
+//!   uses (`Cpu::run_timed` with the zero-cost `Functional` model). This
+//!   isolates the fetch/decode and per-instruction dispatch cost the
+//!   decode cache removes and is the headline speedup number.
 //! * **Blade layer** — a full single-core RTL blade advancing token
 //!   windows with `TimingConfig::decode_cache` on vs off. This shows how
 //!   much of a whole-blade host cycle the fast path buys back once the
@@ -31,7 +33,7 @@ use firesim_blade::{programs, BladeConfig, RtlBlade};
 use firesim_core::{AgentCtx, Cycle, SimAgent, TokenWindow};
 use firesim_net::MacAddr;
 use firesim_riscv::asm::Assembler;
-use firesim_riscv::exec::Cpu;
+use firesim_riscv::exec::{Cpu, Functional, TimedStop};
 use firesim_riscv::mem::Memory;
 use firesim_riscv::{DecodeCache, DRAM_BASE};
 
@@ -93,8 +95,14 @@ impl IsaRunner {
         match &mut self.cache {
             // The fast path dispatches the whole burst as superblocks.
             Some(cache) => {
-                let done = self.cpu.run_cached(&mut self.mem, cache, steps);
-                assert_eq!(done.retired, steps, "workload must not trap or park");
+                let run = self
+                    .cpu
+                    .run_timed(&mut self.mem, cache, steps, 0, &mut Functional);
+                assert_eq!(
+                    (run.cycles, run.stopped),
+                    (steps, TimedStop::Budget),
+                    "workload must not park"
+                );
             }
             None => {
                 for _ in 0..steps {

@@ -88,27 +88,6 @@ pub enum StepOutcome {
     Wfi,
 }
 
-/// Why a superblock dispatch ([`Cpu::run_cached`]) stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockStop {
-    /// The instruction budget ran out mid-run (e.g. a token-window
-    /// boundary); the core is ready to continue.
-    Budget,
-    /// A trap (exception or interrupt) redirected the PC to the handler.
-    Trapped,
-    /// The core parked in WFI with no enabled interrupt pending.
-    Wfi,
-}
-
-/// Result of one superblock dispatch ([`Cpu::run_cached`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSummary {
-    /// Instructions retired during the block (traps retire nothing).
-    pub retired: u64,
-    /// Why the block ended.
-    pub stopped: BlockStop,
-}
-
 /// Timing verdict for one instruction retired inside
 /// [`Cpu::run_timed`], returned by its cost callback.
 #[derive(Debug, Clone, Copy)]
@@ -126,11 +105,11 @@ pub struct TimedStep {
 /// Why [`Cpu::run_timed`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimedStop {
-    /// The cycle budget ran out; the core is ready to continue.
+    /// The budget ran out; the core is ready to continue.
     Budget,
     /// The cost callback requested a stop ([`TimedStep::stop`]).
     Device,
-    /// The core parked in WFI; the parking cycle is counted.
+    /// The core parked in WFI; a timed model counts the parking cycle.
     Wfi,
     /// [`TimedModel::stop_before`] refused the next instruction: it has
     /// not issued, and its issue cycle is not counted.
@@ -139,6 +118,15 @@ pub enum TimedStop {
 
 /// The timing layer's side of a [`Cpu::run_timed`] dispatch.
 pub trait TimedModel {
+    /// True for a cycle model: every issue and stall cycle advances
+    /// `mcycle` and is reported through [`Bus::elapse_timing_cycles`], and
+    /// a trap consumes `1 + trap_extra` budget. False for functional
+    /// execution ([`Functional`]): `mcycle` and device time are left to
+    /// the caller, traps and WFI consume no budget, and only retires
+    /// charge it. A constant of the model's type, so each kind of model
+    /// gets its own monomorphized loop.
+    const TIMED: bool = true;
+
     /// Asked before each instruction issues, with the hart's state as it
     /// stands at that point. `inst` is `None` when the decode cache could
     /// not serve the fetch (misaligned, uncacheable or illegal word).
@@ -166,10 +154,40 @@ pub trait TimedModel {
     ) -> TimedStep;
 }
 
+/// The zero-cost [`TimedModel`]: plain functional execution through
+/// [`Cpu::run_timed`], as sampled fast-forward needs it. Each retire
+/// costs one budget unit, so the budget counts instructions and
+/// [`TimedSummary::cycles`] is the number retired. Traps are taken and
+/// the run goes on; only the budget or a WFI ends it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Functional;
+
+impl TimedModel for Functional {
+    const TIMED: bool = false;
+
+    #[inline(always)]
+    fn retire(
+        &mut self,
+        _: u64,
+        _: &Inst,
+        _: u16,
+        _: bool,
+        _: Option<&MemAccess>,
+        _: u64,
+    ) -> TimedStep {
+        TimedStep {
+            extra: 0,
+            stop: false,
+            annot: 0,
+        }
+    }
+}
+
 /// Result of one [`Cpu::run_timed`] dispatch.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedSummary {
-    /// Target cycles consumed (`<= budget`).
+    /// Budget consumed (`<= budget`): target cycles for a timed model,
+    /// retired instructions for [`Functional`].
     pub cycles: u64,
     /// Residual stall for the caller to carry into its stall state —
     /// nonzero when the budget ran out mid-stall or a stop left the
@@ -180,12 +198,12 @@ pub struct TimedSummary {
 }
 
 /// Folds up to `extra` stall cycles into a [`Cpu::run_timed`] dispatch
-/// right after an issue cycle, exactly as a per-cycle caller would:
-/// `mcycle` advances with the folded span and the bus observes it as one
-/// contiguous gap. Returns the part that overran the budget, which the
-/// caller carries as residual stall.
+/// right after an issue cycle, exactly as a per-cycle caller would: for a
+/// timed model `mcycle` advances with the folded span and the bus
+/// observes it as one contiguous gap. Returns the part that overran the
+/// budget, which the caller carries as residual stall.
 #[inline]
-fn fold_stall<B: Bus>(
+fn fold_stall<B: Bus, M: TimedModel>(
     bus: &mut B,
     csrs: &mut CsrFile,
     cycles: &mut u64,
@@ -194,9 +212,11 @@ fn fold_stall<B: Bus>(
 ) -> u64 {
     let fold = extra.min(budget - *cycles);
     if fold > 0 {
-        csrs.mcycle = csrs.mcycle.wrapping_add(fold);
         *cycles += fold;
-        bus.elapse_timing_cycles(fold);
+        if M::TIMED {
+            csrs.mcycle = csrs.mcycle.wrapping_add(fold);
+            bus.elapse_timing_cycles(fold);
+        }
     }
     extra - fold
 }
@@ -373,270 +393,18 @@ impl Cpu {
         }
     }
 
-    /// Runs up to `max_insts` instructions through the decode-cache fast
-    /// path as one *superblock dispatch*: a tight loop that stays inside
-    /// this call — no per-instruction outcome handed back to the caller —
-    /// until the budget runs out, a trap (including a polled interrupt)
-    /// redirects the PC, or the core parks in WFI.
+    /// Runs up to `budget` units through the decode-cache fast path as
+    /// one *superblock dispatch*: a tight loop that stays inside this call,
+    /// with no [`StepOutcome`] handed back per instruction, charging each
+    /// instruction's cost via [`TimedModel::retire`]. This is the one
+    /// superblock loop. Single-issue timing layers pass a cycle model and
+    /// the budget is in target cycles; functional callers pass
+    /// [`Functional`] and the budget is in retired instructions. Either
+    /// way it saves the [`step_cached`](Self::step_cached) round trip
+    /// (outcome materialization included) per instruction.
     ///
-    /// Semantics are identical to calling
-    /// [`step_cached`](Self::step_cached) `max_insts` times and stopping
-    /// at the first
-    /// non-`Retired` outcome: interrupts are polled before every
-    /// instruction and every instruction goes through the same execute
-    /// path. Only the per-step outcome *reporting* is elided, which is
-    /// what makes this the high-throughput entry point — use it when no
-    /// per-instruction timing information is needed (functional warm-up,
-    /// ISA-level benchmarking); use `step_cached` when a timing model
-    /// consumes each [`StepOutcome`].
-    pub fn run_cached<B: Bus>(
-        &mut self,
-        bus: &mut B,
-        cache: &mut DecodeCache,
-        max_insts: u64,
-    ) -> BlockSummary {
-        let mut retired = 0u64;
-        // Instructions already counted into `minstret`; the hot arms defer
-        // the increment and the difference `retired - flushed` is folded
-        // in at every hot-loop exit. Sound because nothing inside a hot
-        // run can observe `minstret`: only a CSR instruction reads it, and
-        // CSR instructions take the `other` arm, which flushes first.
-        let mut flushed = 0u64;
-        // The interrupt poll is likewise hoisted out of the hot arms:
-        // `self.csrs` is unreachable from the bus (a disjoint borrow,
-        // wired to devices outside this call), so between two polls the
-        // interrupt state can only change through the CPU's own CSR
-        // instructions and traps — all of which leave the hot loop and
-        // re-enter the poll before the next instruction. Polling once per
-        // hot run is therefore observationally identical to
-        // `step_cached`'s per-instruction poll.
-        'poll: while retired < max_insts {
-            if let Some(line) = self.csrs.pending_interrupt() {
-                let cause = line.cause();
-                let handler = self.csrs.trap_enter(self.pc, cause, 0);
-                self.pc = handler;
-                cache.end_superblock();
-                self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-                return BlockSummary {
-                    retired,
-                    stopped: BlockStop::Trapped,
-                };
-            }
-
-            while retired < max_insts {
-                let pc = self.pc;
-                let cached = if pc.is_multiple_of(4) {
-                    cache.lookup(pc, bus)
-                } else {
-                    None
-                };
-                let Some((word, inst, _)) = cached else {
-                    // Slow path: misaligned PC, uncacheable fetch, fault,
-                    // or illegal word — one full interpreter step, which
-                    // counts its own retire, so flush the deferred ones
-                    // first.
-                    cache.end_superblock();
-                    self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-                    flushed = retired;
-                    let outcome = self.fetch_decode_execute(bus);
-                    Self::superblock_bookkeeping(cache, pc, &outcome);
-                    match outcome {
-                        StepOutcome::Retired { .. } => {
-                            retired += 1;
-                            flushed += 1;
-                            continue 'poll;
-                        }
-                        StepOutcome::Trapped { .. } => {
-                            return BlockSummary {
-                                retired,
-                                stopped: BlockStop::Trapped,
-                            };
-                        }
-                        StepOutcome::Wfi => {
-                            return BlockSummary {
-                                retired,
-                                stopped: BlockStop::Wfi,
-                            };
-                        }
-                    }
-                };
-
-                // Lean dispatch of the hot arms: semantics are kept in
-                // lockstep with `execute` (locked by the
-                // `run_cached_matches_step_exactly` differential test);
-                // only the per-instruction outcome reporting is elided.
-                // Everything else funnels through `execute` itself.
-                match inst {
-                    Inst::OpImm {
-                        op,
-                        rd,
-                        rs1,
-                        imm,
-                        word,
-                    } => {
-                        let v = alu(op, self.read_reg(rs1), imm as u64, word);
-                        self.write_reg(rd, v);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Op {
-                        op,
-                        rd,
-                        rs1,
-                        rs2,
-                        word,
-                    } => {
-                        let v = alu(op, self.read_reg(rs1), self.read_reg(rs2), word);
-                        self.write_reg(rd, v);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::MulDiv {
-                        op,
-                        rd,
-                        rs1,
-                        rs2,
-                        word,
-                    } => {
-                        let v = muldiv(op, self.read_reg(rs1), self.read_reg(rs2), word);
-                        self.write_reg(rd, v);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Lui { rd, imm } => {
-                        self.write_reg(rd, imm as u64);
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Auipc { rd, imm } => {
-                        self.write_reg(rd, pc.wrapping_add(imm as u64));
-                        self.retire_linear(cache, pc);
-                    }
-                    Inst::Jal { rd, imm } => {
-                        self.write_reg(rd, pc.wrapping_add(4));
-                        self.retire_jump(cache, pc.wrapping_add(imm as u64));
-                    }
-                    Inst::Jalr { rd, rs1, imm } => {
-                        let target = self.read_reg(rs1).wrapping_add(imm as u64) & !1;
-                        self.write_reg(rd, pc.wrapping_add(4));
-                        self.retire_jump(cache, target);
-                    }
-                    Inst::Branch {
-                        cond,
-                        rs1,
-                        rs2,
-                        imm,
-                    } => {
-                        let a = self.read_reg(rs1);
-                        let b = self.read_reg(rs2);
-                        let take = match cond {
-                            BranchCond::Eq => a == b,
-                            BranchCond::Ne => a != b,
-                            BranchCond::Lt => (a as i64) < (b as i64),
-                            BranchCond::Ge => (a as i64) >= (b as i64),
-                            BranchCond::Ltu => a < b,
-                            BranchCond::Geu => a >= b,
-                        };
-                        if take {
-                            self.retire_jump(cache, pc.wrapping_add(imm as u64));
-                        } else {
-                            self.retire_linear(cache, pc);
-                        }
-                    }
-                    Inst::Load {
-                        width,
-                        signed,
-                        rd,
-                        rs1,
-                        imm,
-                    } => {
-                        let addr = self.read_reg(rs1).wrapping_add(imm as u64);
-                        let size = width.bytes();
-                        match bus.load(addr, size) {
-                            Ok(raw) => {
-                                let value = if signed { sign_extend(raw, size) } else { raw };
-                                self.write_reg(rd, value);
-                                self.retire_linear(cache, pc);
-                            }
-                            Err(f) => {
-                                self.trap(Trap::LoadAccessFault, f.addr);
-                                cache.end_superblock();
-                                self.csrs.minstret =
-                                    self.csrs.minstret.wrapping_add(retired - flushed);
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Trapped,
-                                };
-                            }
-                        }
-                    }
-                    Inst::Store {
-                        width,
-                        rs2,
-                        rs1,
-                        imm,
-                    } => {
-                        let addr = self.read_reg(rs1).wrapping_add(imm as u64);
-                        let size = width.bytes();
-                        match bus.store(addr, size, self.read_reg(rs2)) {
-                            Ok(()) => self.retire_linear(cache, pc),
-                            Err(f) => {
-                                self.trap(Trap::StoreAccessFault, f.addr);
-                                cache.end_superblock();
-                                self.csrs.minstret =
-                                    self.csrs.minstret.wrapping_add(retired - flushed);
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Trapped,
-                                };
-                            }
-                        }
-                    }
-                    other => {
-                        // Rare instructions (AMO, CSR, fences, system)
-                        // keep the single source of truth in `execute`;
-                        // it counts its own retire and may read or write
-                        // any CSR, so flush first and re-poll after.
-                        self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-                        flushed = retired;
-                        let outcome = self.execute(pc, word, other, bus);
-                        Self::superblock_bookkeeping(cache, pc, &outcome);
-                        match outcome {
-                            StepOutcome::Retired { .. } => {
-                                retired += 1;
-                                flushed += 1;
-                                continue 'poll;
-                            }
-                            StepOutcome::Trapped { .. } => {
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Trapped,
-                                };
-                            }
-                            StepOutcome::Wfi => {
-                                return BlockSummary {
-                                    retired,
-                                    stopped: BlockStop::Wfi,
-                                };
-                            }
-                        }
-                    }
-                }
-                retired += 1;
-            }
-        }
-        self.csrs.minstret = self.csrs.minstret.wrapping_add(retired - flushed);
-        BlockSummary {
-            retired,
-            stopped: BlockStop::Budget,
-        }
-    }
-
-    /// Runs up to `budget` *cycles* through the decode-cache fast path as
-    /// one superblock dispatch, charging each instruction's cycle cost
-    /// via [`TimedModel::retire`] — the timed sibling of [`run_cached`](Self::run_cached),
-    /// built for single-issue timing layers that would otherwise pay a
-    /// full [`step_cached`](Self::step_cached) round trip (outcome
-    /// materialization included) per instruction.
-    ///
-    /// Semantics are bit-identical to a caller loop that, per cycle,
-    /// bumps `mcycle`, calls `step_cached`, charges
+    /// For a timed model, semantics are bit-identical to a caller loop
+    /// that, per cycle, bumps `mcycle`, calls `step_cached`, charges
     /// `model.retire(pc, inst, annot, taken_branch, mem, cycles_so_far)`
     /// for a retire (or `trap_extra` extra cycles for a trap), stalls
     /// `extra` cycles before the next issue, and calls
@@ -660,9 +428,14 @@ impl Cpu {
     /// * stall cycles that overrun the budget are returned in
     ///   [`TimedSummary::stall`] for the caller to carry.
     ///
-    /// `minstret` is deferred across hot retires with the same
-    /// observability argument as [`run_cached`](Self::run_cached): only
-    /// CSR instructions read it, and they funnel through the cold arm,
+    /// For [`Functional`] they are identical to calling `step_cached`
+    /// until `budget` instructions have retired or the core parks in WFI:
+    /// traps are taken at no charge, `mcycle` stays put and the bus sees
+    /// no time pass (see [`TimedModel::TIMED`]).
+    ///
+    /// `minstret` is deferred across hot retires and folded in at every
+    /// exit. Nothing inside a hot run can observe it: only a CSR
+    /// instruction reads it, and CSR instructions take the cold arm,
     /// which flushes first.
     pub fn run_timed<B: Bus, M: TimedModel>(
         &mut self,
@@ -680,16 +453,19 @@ impl Cpu {
         // locals already in scope here.
         macro_rules! trap_tail {
             () => {{
-                cycles += 1;
-                bus.elapse_timing_cycles(1);
-                let residual = fold_stall(bus, &mut self.csrs, &mut cycles, budget, trap_extra);
-                if residual > 0 {
-                    self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
-                    return TimedSummary {
-                        cycles,
-                        stall: residual,
-                        stopped: TimedStop::Budget,
-                    };
+                if M::TIMED {
+                    cycles += 1;
+                    bus.elapse_timing_cycles(1);
+                    let residual =
+                        fold_stall::<B, M>(bus, &mut self.csrs, &mut cycles, budget, trap_extra);
+                    if residual > 0 {
+                        self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
+                        return TimedSummary {
+                            cycles,
+                            stall: residual,
+                            stopped: TimedStop::Budget,
+                        };
+                    }
                 }
             }};
         }
@@ -700,7 +476,9 @@ impl Cpu {
                     cache.set_annotation($pc, ts.annot);
                 }
                 cycles += 1;
-                bus.elapse_timing_cycles(1);
+                if M::TIMED {
+                    bus.elapse_timing_cycles(1);
+                }
                 if ts.stop {
                     self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
                     return TimedSummary {
@@ -709,7 +487,8 @@ impl Cpu {
                         stopped: TimedStop::Device,
                     };
                 }
-                let residual = fold_stall(bus, &mut self.csrs, &mut cycles, budget, ts.extra);
+                let residual =
+                    fold_stall::<B, M>(bus, &mut self.csrs, &mut cycles, budget, ts.extra);
                 if residual > 0 {
                     self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
                     return TimedSummary {
@@ -724,7 +503,9 @@ impl Cpu {
         'poll: while cycles < budget {
             // The issue cycle begins: `mcycle` first, then the interrupt
             // poll, exactly like the per-cycle loop.
-            self.csrs.mcycle = self.csrs.mcycle.wrapping_add(1);
+            if M::TIMED {
+                self.csrs.mcycle = self.csrs.mcycle.wrapping_add(1);
+            }
             if let Some(line) = self.csrs.pending_interrupt() {
                 let cause = line.cause();
                 let handler = self.csrs.trap_enter(self.pc, cause, 0);
@@ -736,13 +517,13 @@ impl Cpu {
 
             // Interrupt-free hot run. Between hot retires nothing can
             // change `mip`/`mie`/`mstatus`: hot arms never write CSRs,
-            // and the bus cannot reach them (device state changed by an
-            // MMIO load/store only feeds back through the caller's
-            // interrupt wiring, outside this call). So the poll above is
-            // hoisted out of this inner loop — every skipped poll
-            // provably returns `None` — and every path that *can*
-            // perturb interrupt state (cold step, trap) exits to
-            // `'poll`, same argument as `run_cached`.
+            // and the bus cannot reach them (`self.csrs` is a disjoint
+            // borrow; device state changed by an MMIO load/store only
+            // feeds back through the caller's interrupt wiring, outside
+            // this call). So the poll above is hoisted out of this inner
+            // loop — every skipped poll provably returns `None` — and
+            // every path that *can* perturb interrupt state (cold step,
+            // trap) exits to `'poll`.
             loop {
                 let pc = self.pc;
                 let served = if pc.is_multiple_of(4) {
@@ -753,7 +534,9 @@ impl Cpu {
                 if model.stop_before(pc, served.as_ref().map(|s| &s.1), self) {
                     // The issue cycle `mcycle` already counted never
                     // happens here: hand it back with the run.
-                    self.csrs.mcycle = self.csrs.mcycle.wrapping_sub(1);
+                    if M::TIMED {
+                        self.csrs.mcycle = self.csrs.mcycle.wrapping_sub(1);
+                    }
                     self.csrs.minstret = self.csrs.minstret.wrapping_add(pending_retires);
                     return TimedSummary {
                         cycles,
@@ -761,9 +544,10 @@ impl Cpu {
                         stopped: TimedStop::Blocked,
                     };
                 }
-                // Hot arms retire inline (mirroring `run_cached`, locked by
-                // the same differential tests); anything else falls through
-                // to one cold interpreter step below.
+                // Hot arms retire inline, duplicating `execute` for the
+                // common instructions (locked to `step` by the differential
+                // tests); anything else falls through to one cold
+                // interpreter step below.
                 let mut cold: Option<(u32, Inst)> = None;
                 let mut served_annot = 0u16;
                 if let Some((word, inst, annot)) = served {
@@ -926,7 +710,9 @@ impl Cpu {
                         }
                         // Next issue cycle within the hot run: `mcycle`
                         // advances, the poll is skipped (see above).
-                        self.csrs.mcycle = self.csrs.mcycle.wrapping_add(1);
+                        if M::TIMED {
+                            self.csrs.mcycle = self.csrs.mcycle.wrapping_add(1);
+                        }
                         continue;
                     }
                 }
@@ -967,8 +753,10 @@ impl Cpu {
                     }
                     StepOutcome::Trapped { .. } => trap_tail!(),
                     StepOutcome::Wfi => {
-                        cycles += 1;
-                        bus.elapse_timing_cycles(1);
+                        if M::TIMED {
+                            cycles += 1;
+                            bus.elapse_timing_cycles(1);
+                        }
                         return TimedSummary {
                             cycles,
                             stall: 0,
@@ -1746,14 +1534,15 @@ mod tests {
         assert_eq!(cpu.read_reg(1), 5);
     }
 
-    /// The lean superblock dispatch in `run_cached` re-implements the hot
+    /// The superblock dispatch in `run_timed` re-implements the hot
     /// instruction arms without building `StepOutcome`s; this differential
-    /// test locks it to the plain interpreter over a trap-heavy program
-    /// (ALU, mul, loads/stores, calls, branches, CSR traffic, an ecall
-    /// handler round-trip, AMOs), driven in small budget chunks so every
-    /// `BlockStop` reason is exercised.
+    /// test locks its functional instance to the plain interpreter over a
+    /// trap-heavy program (ALU, mul, loads/stores, calls, branches, CSR
+    /// traffic, an ecall handler round-trip, AMOs), driven in small budget
+    /// chunks so runs end on the budget mid-superblock as well as on WFI.
+    /// A functional dispatch leaves `mcycle` alone.
     #[test]
-    fn run_cached_matches_step_exactly() {
+    fn functional_run_timed_matches_step_exactly() {
         let mut a = Assembler::new(BASE);
         a.la(5, "handler");
         a.csrw(csr_addr::MTVEC, 5);
@@ -1803,11 +1592,17 @@ mod tests {
         loop {
             // A deliberately awkward budget so superblocks split at
             // arbitrary points, including mid-basic-block.
-            let block = cached.run_cached(&mut mem_c, &mut cache, 7);
-            retired_c += block.retired;
-            match block.stopped {
-                BlockStop::Budget | BlockStop::Trapped => {}
-                BlockStop::Wfi => break,
+            let mcycle = cached.csrs.mcycle;
+            let run = cached.run_timed(&mut mem_c, &mut cache, 7, 0, &mut Functional);
+            assert_eq!(
+                cached.csrs.mcycle, mcycle,
+                "functional dispatch moved mcycle"
+            );
+            retired_c += run.cycles;
+            match run.stopped {
+                TimedStop::Budget => assert_eq!(run.cycles, 7, "budget stop short of budget"),
+                TimedStop::Wfi => break,
+                other => panic!("functional dispatch stopped on {other:?}"),
             }
             assert!(retired_c < 10_000, "cached runaway");
         }

@@ -8,11 +8,13 @@
 //! page-granular generation counter checked on each cache lookup, so stale
 //! decodes are never served even without the fence. Both variants must
 //! therefore execute the patched instruction and match the uncached
-//! interpreter bit-for-bit.
+//! interpreter bit-for-bit, whether the cached core is stepped one
+//! instruction at a time or runs the whole program, patch included, as
+//! one superblock dispatch.
 
 use firesim_riscv::asm::Assembler;
 use firesim_riscv::encode::encode;
-use firesim_riscv::exec::{Cpu, StepOutcome};
+use firesim_riscv::exec::{Cpu, Functional, StepOutcome, TimedStop};
 use firesim_riscv::inst::{AluOp, Inst};
 use firesim_riscv::mem::Memory;
 use firesim_riscv::DecodeCache;
@@ -77,29 +79,54 @@ fn run(image: &[u8], mut cache: Option<&mut DecodeCache>) -> (u64, usize) {
     panic!("program did not reach wfi in {MAX_STEPS} steps");
 }
 
+/// Runs `image` to its `wfi` as a single functional superblock dispatch
+/// (`Cpu::run_timed` with the `Functional` model), returning the same
+/// pair as [`run`].
+fn run_dispatched(image: &[u8], cache: &mut DecodeCache) -> (u64, usize) {
+    let mut mem = Memory::new(BASE, MEM_BYTES);
+    mem.write_bytes(BASE, image).unwrap();
+    let mut cpu = Cpu::new(0, BASE);
+    let run = cpu.run_timed(&mut mem, cache, MAX_STEPS as u64, 0, &mut Functional);
+    assert_eq!(
+        run.stopped,
+        TimedStop::Wfi,
+        "program did not reach wfi in {MAX_STEPS} instructions"
+    );
+    (cpu.read_reg(10), run.cycles as usize)
+}
+
 fn check_variant(with_fence_i: bool) {
     let image = smc_program(with_fence_i);
-    let mut cache = DecodeCache::new();
-    let (cached_x10, cached_steps) = run(&image, Some(&mut cache));
     let (interp_x10, interp_steps) = run(&image, None);
+    let mut stepped_cache = DecodeCache::new();
+    let stepped = run(&image, Some(&mut stepped_cache));
+    let mut dispatched_cache = DecodeCache::new();
+    let dispatched = run_dispatched(&image, &mut dispatched_cache);
 
-    assert_eq!(
-        cached_x10, 103,
-        "patched instruction must execute (fence.i: {with_fence_i})"
-    );
-    assert_eq!(
-        (cached_x10, cached_steps),
-        (interp_x10, interp_steps),
-        "cached run diverged from the interpreter (fence.i: {with_fence_i})"
-    );
-
-    let stats = cache.stats();
-    assert!(
-        stats.invalidations >= 1,
-        "patching a cached instruction must be observed as an invalidation \
-         (fence.i: {with_fence_i}, stats: {stats:?})"
-    );
-    assert!(stats.hits > 0, "the subroutine call never hit the cache");
+    for (dispatch, result, cache) in [
+        ("step_cached", stepped, &stepped_cache),
+        ("run_timed", dispatched, &dispatched_cache),
+    ] {
+        assert_eq!(
+            result.0, 103,
+            "patched instruction must execute ({dispatch}, fence.i: {with_fence_i})"
+        );
+        assert_eq!(
+            result,
+            (interp_x10, interp_steps),
+            "cached run diverged from the interpreter ({dispatch}, fence.i: {with_fence_i})"
+        );
+        let stats = cache.stats();
+        assert!(
+            stats.invalidations >= 1,
+            "patching a cached instruction must be observed as an invalidation \
+             ({dispatch}, fence.i: {with_fence_i}, stats: {stats:?})"
+        );
+        assert!(
+            stats.hits > 0,
+            "the subroutine call never hit the cache ({dispatch})"
+        );
+    }
 }
 
 #[test]

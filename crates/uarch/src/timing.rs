@@ -10,7 +10,9 @@
 //! effect of an instruction is applied on the cycle it *begins* and the
 //! core then stalls for the remaining cost.
 
-use firesim_riscv::exec::{Cpu, MemAccess, StepOutcome, TimedModel, TimedStep, TimedStop};
+use firesim_riscv::exec::{
+    Cpu, Functional, MemAccess, StepOutcome, TimedModel, TimedStep, TimedStop,
+};
 use firesim_riscv::icache::{DecodeCache, DecodeCacheStats};
 use firesim_riscv::inst::{Inst, MulDivOp};
 use firesim_riscv::mem::Bus;
@@ -587,8 +589,9 @@ impl TimingCore {
 
     /// Sampled-mode fast-forward: executes up to `max_insts` instructions
     /// *functionally only* — no memory-system timing, no per-instruction
-    /// cost model — via the superblock dispatcher when the decode cache
-    /// is on. Returns the number of instructions retired (counted into
+    /// cost model — via [`Cpu::run_timed`] with the zero-cost
+    /// [`Functional`] model when the decode cache is on. Returns the
+    /// number of instructions retired (counted into
     /// [`retired`](Self::retired) as usual). Traps are taken and the run
     /// continues; WFI parks the core and ends the run early. A parked
     /// core with a pending enabled interrupt (wire interrupts first!) is
@@ -604,44 +607,36 @@ impl TimingCore {
                 return 0;
             }
         }
-        let mut executed = 0u64;
-        let TimingCore {
-            cpu,
-            icache,
-            retired,
-            parked,
-            ..
-        } = self;
-        while executed < max_insts {
-            match icache {
-                Some(cache) => {
-                    let summary = cpu.run_cached(bus, cache, max_insts - executed);
-                    executed += summary.retired;
-                    match summary.stopped {
-                        firesim_riscv::exec::BlockStop::Budget
-                        | firesim_riscv::exec::BlockStop::Trapped => {}
-                        firesim_riscv::exec::BlockStop::Wfi => {
-                            *parked = true;
-                            break;
-                        }
-                    }
+        let executed = match &mut self.icache {
+            Some(cache) => {
+                let run = self
+                    .cpu
+                    .run_timed(bus, cache, max_insts, 0, &mut Functional);
+                if run.stopped == TimedStop::Wfi {
+                    self.parked = true;
                 }
-                None => {
-                    let outcome = cpu
+                run.cycles
+            }
+            None => {
+                let mut executed = 0u64;
+                while executed < max_insts {
+                    let outcome = self
+                        .cpu
                         .step(bus)
                         .expect("functional core does not fail at host level");
                     match outcome {
                         StepOutcome::Retired { .. } => executed += 1,
                         StepOutcome::Trapped { .. } => {}
                         StepOutcome::Wfi => {
-                            *parked = true;
+                            self.parked = true;
                             break;
                         }
                     }
                 }
+                executed
             }
-        }
-        *retired += executed;
+        };
+        self.retired += executed;
         executed
     }
 

@@ -13,7 +13,9 @@
 //!    host worker counts, repeatable, and checkpoint-restorable;
 //! 3. it is *opt-in and inert elsewhere*: OS-model experiment rows
 //!    (Fig 7) are unchanged when sampling is requested, and the
-//!    `sampling_*` counters only appear when sampling is on.
+//!    `sampling_*` counters only appear when sampling is on;
+//! 4. its outputs are *pinned*: counters, estimate and state digests of
+//!    two sampled clusters match recorded values.
 
 use firesim_blade::{programs, BladeConfig, RtlBlade, SamplingConfig};
 use firesim_core::{AgentCtx, Cycle, Frequency, SimAgent, TokenWindow};
@@ -250,6 +252,133 @@ fn sampled_checkpoint_roundtrip_resumes_identically() {
             assert_eq!(probe.lock().exit_code, Some(0), "workload incomplete");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outputs: the fast-forward dispatch itself
+// ---------------------------------------------------------------------------
+
+/// A program whose fast-forwarded instructions observe everything a
+/// functional dispatch must leave alone. Every iteration reads `mcycle`
+/// and `minstret`, reads the CLINT's `mtime` over MMIO (an MMIO access
+/// replays any device lag the dispatch left behind into the NIC and the
+/// block device), and takes an `ecall` trap. The values feed a running
+/// hash that steers a branch and is stored to DRAM, so a fast-forward
+/// that advanced `mcycle`, aged the devices or charged traps against its
+/// instruction budget would change the blade's counters and state.
+fn observer_program() -> programs::Program {
+    use firesim_devices::{clint::MTIME, map::CLINT_BASE};
+    use firesim_riscv::csr::addr as csr;
+    let mut a = Assembler::new(DRAM_BASE);
+    a.la(5, "handler");
+    a.csrw(csr::MTVEC, 5);
+    a.li(6, DRAM_BASE as i64 + 0x4_0000); // 512 B of hash slots
+    a.li(7, (CLINT_BASE + MTIME) as i64);
+    a.li(8, 0); // hash
+    a.label("loop");
+    a.csrr(9, csr::MCYCLE);
+    a.csrr(10, csr::MINSTRET);
+    a.ld(11, 7, 0);
+    a.ecall();
+    a.slli(12, 8, 5);
+    a.add(8, 8, 12);
+    a.xor(8, 8, 9);
+    a.add(8, 8, 10);
+    a.xor(8, 8, 11);
+    a.andi(12, 8, 0x1f8);
+    a.add(12, 12, 6);
+    a.sd(8, 12, 0);
+    a.andi(13, 8, 1);
+    a.beq(13, 0, "loop");
+    a.mul(14, 8, 9);
+    a.add(8, 8, 14);
+    a.j("loop");
+    a.label("handler");
+    a.csrr(15, csr::MEPC);
+    a.addi(15, 15, 4);
+    a.csrw(csr::MEPC, 15);
+    a.addi(20, 20, 1); // traps taken
+    a.mret();
+    programs::Program {
+        image: a.assemble().expect("observer program assembles"),
+        dram_init: Vec::new(),
+        mailbox: (programs::MAILBOX, 8),
+    }
+}
+
+/// Combined digest of every agent's checkpointed state.
+fn state_digest(sim: &mut firesim_manager::Simulation) -> u64 {
+    let cp = sim.checkpoint().expect("checkpoints");
+    firesim_core::combined_digest(&cp.agent_digests())
+}
+
+/// Sampled outputs are pinned to recorded values, not only to
+/// themselves: the observer blade's retired and cycle counters, its IPC
+/// estimate and confidence bounds, and its state digest, plus the digest
+/// of the sampled ping cluster. The other tests here check consistency
+/// (across workers, across a checkpoint); this one catches a change to
+/// what fast-forward computes. Update the values only for a deliberate
+/// change to sampled semantics.
+#[test]
+fn sampled_outputs_are_pinned() {
+    let mut topo = Topology::new();
+    let tor = topo.add_switch("tor0");
+    let node = topo.add_server("observer", BladeSpec::rtl_single_core(observer_program()));
+    // A ToR with a single downlink does not build; this node waits on
+    // its NIC for a frame that never comes.
+    let idle = topo.add_server(
+        "idle",
+        BladeSpec::rtl_single_core(programs::echo_responder(1)),
+    );
+    topo.add_downlinks(tor, [node, idle]).unwrap();
+    let mut sim = topo
+        .build(SimConfig {
+            link_latency: Frequency::GHZ_3_2.cycles_from_micros(2),
+            sampling: Some(sampling_cfg()),
+            ..SimConfig::default()
+        })
+        .expect("valid topology");
+    sim.run_for(Cycle::new(160_000)).expect("runs");
+    let report = sim.run_report(std::time::Duration::ZERO);
+    let agent = report
+        .agents
+        .iter()
+        .find(|a| a.name == "observer")
+        .expect("observer agent");
+    let summary = report
+        .sampling_summary()
+        .into_iter()
+        .find(|s| s.name == "observer")
+        .expect("observer is sampled");
+    let observed = (
+        counter(&agent.counters, "retired"),
+        counter(&agent.counters, "cycles"),
+        summary.windows,
+        summary.ipc_est_permille,
+        summary.ci_lo_permille,
+        summary.ci_hi_permille,
+        state_digest(&mut sim),
+    );
+    let mut ping = build_sampled_ping(1);
+    ping.run_until_done(Cycle::new(400_000_000)).expect("runs");
+    let ping_digest = state_digest(&mut ping);
+    assert_eq!(
+        observed,
+        (
+            Some(75_903),
+            Some(160_000),
+            20,
+            512,
+            476,
+            549,
+            0xfa08_c08c_447c_5ee1
+        ),
+        "observer blade: (retired, cycles, windows, IPC estimate, CI low, CI high, digest)"
+    );
+    assert_eq!(
+        ping_digest, 0x59ea_d7d9_5b81_4cc9,
+        "sampled ping cluster digest"
+    );
 }
 
 // ---------------------------------------------------------------------------
