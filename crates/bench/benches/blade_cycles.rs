@@ -1,7 +1,7 @@
 //! Event-driven timing layer throughput: simulated cycles per host
 //! second, batched scheduling vs the per-cycle reference loop.
 //!
-//! Four workloads bracket the design space:
+//! Five workloads bracket the design space:
 //!
 //! * **compute** — the instruction-dense `blade_mips` loop, where the
 //!   batched layer's win comes from hoisting per-cycle interrupt wiring
@@ -17,6 +17,11 @@
 //! * **parked** — every core in WFI with interrupts masked, where the
 //!   batched layer skips whole quiet windows in O(1) (Mode A spans). The
 //!   reference loop still pays per-cycle wiring and `clint.advance(1)`.
+//! * **stream** — the §IV-C stream sender on a NIC rate-limited to a
+//!   tenth of the link, keeping 16 frames queued and polling the NIC's
+//!   registers: the NIC is busy on every cycle, so the batched layer
+//!   wins only by running it lazily behind Mode A skips and the hart's
+//!   spans.
 //!
 //! Both timing modes produce bit-identical cycle counts and digests (see
 //! `tests/timing_equiv.rs` and the distributed `reference-timing` mode);
@@ -30,9 +35,10 @@
 //!   batched/reference speedup falls below 80% of the committed
 //!   baseline's, if a fully parked blade is not at least an order of
 //!   magnitude cheaper per cycle than a computing one
-//!   (`parked_blade_is_cheap`), or if batched timing runs the shared
+//!   (`parked_blade_is_cheap`), if batched timing runs the shared
 //!   workload at under 0.8x the reference loop's rate
-//!   (`short_rounds_back_off`). All guards are same-run *ratios*, which
+//!   (`short_rounds_back_off`), or if the stream speedup falls below
+//!   80% of the baseline's (`busy_nic_batches`). All guards are same-run *ratios*, which
 //!   survive host-machine variation; absolute cycles/sec do not. The
 //!   quad speedup is reported but not enforced: on a 2-vCPU cloud host
 //!   quick runs read 3.3-4.3x while the host runs fast and 2.4-2.9x
@@ -115,6 +121,7 @@ enum Workload {
     Quad,
     Shared,
     Parked,
+    Stream,
 }
 
 /// An RTL blade advancing token windows under one timing mode.
@@ -127,10 +134,14 @@ impl Runner {
     fn new(workload: Workload, reference: bool) -> Self {
         let mut config = match workload {
             Workload::Quad | Workload::Shared => BladeConfig::quad_core(),
-            Workload::Compute | Workload::Parked => BladeConfig::single_core(),
+            Workload::Compute | Workload::Parked | Workload::Stream => BladeConfig::single_core(),
         }
         .with_dram_bytes(1 << 20);
         config.timing.reference_timing = reference;
+        if let Workload::Stream = workload {
+            config.nic.rate_k = 1;
+            config.nic.rate_p = 10;
+        }
         let mut blade = RtlBlade::new("b", MacAddr::from_node_index(0), config);
         let program = match workload {
             Workload::Compute | Workload::Quad => programs::Program {
@@ -144,6 +155,13 @@ impl Runner {
                 mailbox: (programs::MAILBOX, 8),
             },
             Workload::Parked => programs::park(),
+            Workload::Stream => programs::stream_sender(
+                MacAddr::from_node_index(0),
+                MacAddr::from_node_index(1),
+                1 << 24,
+                1486,
+                0,
+            ),
         };
         program.install(&mut blade);
         blade.enable_host_profiling();
@@ -206,6 +224,8 @@ fn main() {
     // gets proportionally more windows per burst to keep timer noise down.
     let (park_ref, park_bat) = rates(Workload::Parked, parked_windows, reps);
     let parked_speedup = park_bat / park_ref;
+    let (stream_ref, stream_bat) = rates(Workload::Stream, windows, reps);
+    let stream_speedup = stream_bat / stream_ref;
     // `parked_blade_is_cheap`: how many times cheaper per simulated
     // cycle a fully parked blade is than a computing one, batched mode.
     // Mode A skips make this large; the reference loop keeps it near 1.
@@ -235,6 +255,12 @@ fn main() {
         park_bat / 1e6,
         parked_speedup
     );
+    println!(
+        "stream:  reference {:.2} Mcyc/s, batched {:.2} Mcyc/s, speedup {:.2}x",
+        stream_ref / 1e6,
+        stream_bat / 1e6,
+        stream_speedup
+    );
     println!("parked blade is {parked_cheapness:.1}x cheaper per cycle than compute (batched)");
 
     let mut obj = std::collections::BTreeMap::new();
@@ -252,6 +278,9 @@ fn main() {
         ("parked_batched_cycles_per_sec", park_bat),
         ("parked_speedup", parked_speedup),
         ("parked_cheapness", parked_cheapness),
+        ("stream_reference_cycles_per_sec", stream_ref),
+        ("stream_batched_cycles_per_sec", stream_bat),
+        ("stream_speedup", stream_speedup),
     ] {
         obj.insert(k.to_owned(), serde_json::Value::from(v));
     }
@@ -297,6 +326,21 @@ fn main() {
             );
             failed = true;
         }
+        // busy_nic_batches: a streaming NIC must not push its blade back
+        // onto the per-cycle loop.
+        let base_stream = baseline
+            .get("stream_speedup")
+            .and_then(serde_json::Value::as_f64)
+            .expect("baseline has stream_speedup");
+        let stream_floor = base_stream * 0.8;
+        if stream_speedup < stream_floor {
+            eprintln!(
+                "FAIL: busy_nic_batches — batched/reference stream speedup \
+                 {stream_speedup:.2}x is below 80% of the committed baseline \
+                 {base_stream:.2}x (floor {stream_floor:.2}x)"
+            );
+            failed = true;
+        }
         // parked_blade_is_cheap: a fully parked blade must not pay the
         // per-cycle per-core wiring the computing blade pays.
         if parked_cheapness < 10.0 {
@@ -313,7 +357,8 @@ fn main() {
         println!(
             "check ok: compute speedup {compute_speedup:.2}x >= floor {floor:.2}x, \
              parked blade {parked_cheapness:.1}x cheaper per cycle, \
-             shared speedup {shared_speedup:.2}x >= 0.80x"
+             shared speedup {shared_speedup:.2}x >= 0.80x, \
+             stream speedup {stream_speedup:.2}x >= floor {stream_floor:.2}x"
         );
     }
 }

@@ -17,14 +17,16 @@ use parking_lot::Mutex;
 
 use firesim_core::stats::WindowStats;
 use firesim_core::{AgentCtx, SimAgent};
-use firesim_devices::{map, BlockDevice, Clint, CopyAccel, MmioDevice, Nic, NicStats, Uart};
+use firesim_devices::{
+    map, BlockDevice, Clint, CopyAccel, MmioDevice, Nic, NicPort, NicStats, Uart,
+};
 use firesim_net::Flit;
 use firesim_riscv::exec::Cpu;
 use firesim_riscv::mem::{Bus, MemFault, Memory};
 use firesim_riscv::{Interrupt, DRAM_BASE};
 use firesim_uarch::{
-    HartSnapshot, MemSystem, PrivateOnly, SamplingConfig, TickEvent, TimingCore, TraceEntry,
-    Unguarded,
+    DmaGuard, HartSnapshot, MemSystem, PrivateOnly, SamplingConfig, TickEvent, TimingCore,
+    TraceEntry, Unguarded,
 };
 
 use crate::config::BladeConfig;
@@ -129,6 +131,8 @@ impl StoreLog for UndoLog {
 struct SocBus<'a, L: StoreLog = Vec<u64>> {
     mem: &'a mut Memory,
     nic: &'a mut Nic,
+    /// The NIC's window position: where a catch-up resumes its ticks.
+    port: &'a mut NicPort,
     blockdev: &'a mut BlockDevice,
     uart: &'a mut Uart,
     clint: &'a mut Clint,
@@ -145,16 +149,19 @@ struct SocBus<'a, L: StoreLog = Vec<u64>> {
 
 impl<L: StoreLog> SocBus<'_, L> {
     /// Replays deferred device cycles before an MMIO access can observe
-    /// (or mutate) device state. Batched spans only start while the NIC
-    /// is quiescent and end at the first MMIO cycle, and the span budget
-    /// keeps the lag below every in-flight disk transfer's remaining
-    /// latency, so both skips reproduce the per-cycle reference exactly.
+    /// (or mutate) device state. Batched spans end at the first MMIO
+    /// cycle, and the span budget keeps the lag below every in-flight
+    /// disk transfer's remaining latency and short of the next incoming
+    /// flit, so the replay reproduces the per-cycle reference exactly: a
+    /// NIC that was busy during the span ran its DMA behind the hart's
+    /// accesses, which the span's [`DmaGuard`] proved commute with it.
     /// The CLINT needs no catch-up: span budgets never cross an `mtime`
     /// increment, so its MMIO-visible state is constant over the span.
     fn catch_up_devices(&mut self) {
         let lag = *self.device_lag;
         if lag > 0 {
-            self.nic.skip_quiescent(lag);
+            let ticks = u32::try_from(lag).expect("device lag within one window");
+            self.nic.advance(self.mem, self.port, ticks);
             self.blockdev.skip(lag);
             *self.device_lag = 0;
         }
@@ -325,12 +332,35 @@ struct Rounds {
     reach: u64,
     /// Never back off (see [`RtlBlade::keep_short_rounds`]).
     eager: bool,
-    /// How target cycles were hosted, for the `host_sched_*` counters.
+    /// How the batched schedule hosted target cycles, for the
+    /// `host_sched_*` counters; per-cycle fallbacks by [`Fallback`].
     skip_cycles: u64,
     round_cycles: u64,
-    fallback_cycles: u64,
+    fallback_cycles: [u64; 4],
     rounds: u64,
     rollbacks: u64,
+}
+
+/// Why the batched schedule hosted a cycle on the per-cycle path.
+#[derive(Debug, Clone, Copy)]
+enum Fallback {
+    /// A busy NIC whose interrupt line could change, or one beside
+    /// several runnable harts or a hart off the superblock path, or a
+    /// lone hart whose next access would race the NIC's DMA.
+    Nic,
+    /// A busy accelerator, or an event due within a cycle: a disk
+    /// completion, a core waking, an incoming flit.
+    Device,
+    /// Several runnable harts while short rounds back off.
+    Backoff,
+    /// Several runnable harts executing a shared op, or off the
+    /// superblock path.
+    Shared,
+}
+
+impl Fallback {
+    /// Counter name suffixes, indexed by `Fallback as usize`.
+    const NAMES: [&'static str; 4] = ["nic", "device", "backoff", "shared"];
 }
 
 impl Rounds {
@@ -404,7 +434,8 @@ pub struct RtlBlade {
     uart_read: usize,
     probe: Arc<Mutex<BladeProbe>>,
     store_scratch: Vec<u64>,
-    rx_scratch: Vec<(u32, Flit)>,
+    /// The NIC's side of the current token window.
+    port: NicPort,
     /// Device ticks owed during a batched issue span; scratch state that
     /// is always 0 between spans (not checkpointed).
     device_lag: u64,
@@ -462,7 +493,7 @@ impl RtlBlade {
             uart_read: 0,
             probe: Arc::new(Mutex::new(BladeProbe::default())),
             store_scratch: Vec::new(),
-            rx_scratch: Vec::new(),
+            port: NicPort::default(),
             device_lag: 0,
             rounds: Rounds::default(),
             reference_timing: config.timing.reference_timing,
@@ -592,17 +623,15 @@ impl RtlBlade {
     pub fn advance_ports(&mut self, ctx: &mut AgentCtx<Flit>, in_port: usize, out_port: usize) {
         let host_start = self.profile_host.then(std::time::Instant::now);
         let window = ctx.window();
-        self.rx_scratch.clear();
-        self.rx_scratch.extend(ctx.drain_input(in_port));
+        self.port.start_window(ctx.drain_input(in_port));
 
         let mut off = 0u32;
-        let mut rx_idx = 0usize;
         if self.sampling.is_some() {
-            self.advance_sampled(ctx, out_port, window, &mut off, &mut rx_idx);
+            self.advance_sampled(ctx, out_port, window, &mut off);
         } else if self.reference_timing {
-            self.advance_reference(ctx, out_port, window, &mut off, &mut rx_idx);
+            self.advance_reference(ctx, out_port, window, &mut off);
         } else {
-            self.advance_batched(ctx, out_port, window, &mut off, &mut rx_idx);
+            self.advance_batched(ctx, out_port, window, &mut off);
         }
         // Bring the DRAM's refresh bookkeeping up to the window boundary
         // even when no request observed the later cycles, so snapshots
@@ -638,6 +667,7 @@ impl RtlBlade {
             let mut bus = SocBus {
                 mem: &mut self.mem,
                 nic: &mut self.nic,
+                port: &mut self.port,
                 blockdev: &mut self.blockdev,
                 uart: &mut self.uart,
                 clint: &mut self.clint,
@@ -668,25 +698,18 @@ impl RtlBlade {
         self.clint.advance(1);
     }
 
-    /// The unconditional NIC token exchange for window offset `off`. The
-    /// NIC keeps exchanging tokens even when the blade is powered off
-    /// (the paper's token discipline: every cycle consumes and produces
-    /// a token; a powered-off node just produces empty ones).
-    fn nic_cycle(
-        &mut self,
-        ctx: &mut AgentCtx<Flit>,
-        out_port: usize,
-        off: u32,
-        rx_idx: &mut usize,
-    ) {
-        let rx = match self.rx_scratch.get(*rx_idx) {
-            Some(&(o, f)) if o == off => {
-                *rx_idx += 1;
-                Some(f)
-            }
-            _ => None,
-        };
-        if let Some(flit) = self.nic.tick(&mut self.mem, rx) {
+    /// The unconditional NIC token exchange for the port's next window
+    /// offset. The NIC keeps exchanging tokens even when the blade is
+    /// powered off (the paper's token discipline: every cycle consumes
+    /// and produces a token; a powered-off node just produces empty ones).
+    fn nic_cycle(&mut self, ctx: &mut AgentCtx<Flit>, out_port: usize) {
+        self.nic.exchange(&mut self.mem, &mut self.port);
+        self.flush_tx(ctx, out_port);
+    }
+
+    /// Hands the flits the NIC produced on to the output window.
+    fn flush_tx(&mut self, ctx: &mut AgentCtx<Flit>, out_port: usize) {
+        for (off, flit) in self.port.tx.drain(..) {
             ctx.push_output(out_port, off, flit);
         }
     }
@@ -704,15 +727,13 @@ impl RtlBlade {
         out_port: usize,
         end: u32,
         off: &mut u32,
-        rx_idx: &mut usize,
     ) {
-        self.rounds.fallback_cycles += u64::from(end.saturating_sub(*off));
         while *off < end {
             if self.powered_off.is_none() {
                 self.wire_interrupts();
                 self.tick_cores_and_devices();
             }
-            self.nic_cycle(ctx, out_port, *off, rx_idx);
+            self.nic_cycle(ctx, out_port);
             self.cycle += 1;
             *off += 1;
         }
@@ -722,21 +743,26 @@ impl RtlBlade {
     /// [`advance_reference`](Self::advance_reference) while hosting many
     /// target cycles per iteration whenever the blade is quiescent enough:
     ///
-    /// * **Full skip** (Mode A) — every core parked or stalled and every
-    ///   device quiet: the gap up to the next event (timer expiry, stall
-    ///   end, rx flit, disk completion) collapses into O(1) bulk updates.
+    /// * **Full skip** (Mode A) — every core parked or stalled, no device
+    ///   but the NIC busy, and the NIC's interrupt line unable to change
+    ///   (or the NIC quiet): the gap up to the next event (timer expiry,
+    ///   stall end, disk completion, and for a quiet NIC with a live
+    ///   interrupt line the next rx flit) collapses into O(1) bulk
+    ///   updates, the NIC's cycles into one [`Nic::advance`].
     /// * **Hart round** (Mode B) — one or more runnable cores and a
     ///   frozen environment: [`run_round`](Self::run_round) issues every
     ///   runnable core up to a budget of cycles with the interrupt wiring
     ///   hoisted out of the loop; the budget guarantees every skipped
     ///   rewiring would have been a no-op. A lone hart's span stops after
     ///   its first MMIO-visible cycle; several harts stop before their
-    ///   first shared op, which one reference cycle then executes.
+    ///   first shared op, which one reference cycle then executes. A lone
+    ///   hart may run beside a busy NIC whose interrupt line is frozen,
+    ///   under a [`DmaGuard`]; several need a quiet NIC.
     /// * **Reference cycle** — anything else falls back to one verbatim
-    ///   per-cycle iteration, as do several runnable harts for a while
-    ///   after their rounds came out too short to pay for the snapshots
-    ///   ([`Rounds::note_round`]). Either schedule is exact, so this
-    ///   choice changes host time only.
+    ///   per-cycle iteration ([`Fallback`] says why), as do several
+    ///   runnable harts for a while after their rounds came out too short
+    ///   to pay for the snapshots ([`Rounds::note_round`]). Either
+    ///   schedule is exact, so this choice changes host time only.
     ///
     /// Advances window offsets `*off..end` (the full window for plain
     /// runs; one detailed leg under sampled timing).
@@ -746,41 +772,31 @@ impl RtlBlade {
         out_port: usize,
         end: u32,
         off: &mut u32,
-        rx_idx: &mut usize,
     ) {
         while *off < end {
+            debug_assert_eq!(self.port.offset(), *off, "NIC out of step");
+            if self.powered_off.is_some() {
+                // Only the NIC runs.
+                let k = end - *off;
+                self.nic.advance(&mut self.mem, &mut self.port, k);
+                self.flush_tx(ctx, out_port);
+                self.rounds.skip_cycles += u64::from(k);
+                self.cycle += u64::from(k);
+                *off = end;
+                break;
+            }
             // Offset of the next undelivered rx flit. An offset below
             // `off` can never match the exchange (mirroring the reference
             // loop, which would also never consume it), so clamping keeps
             // the arithmetic safe without changing behavior.
-            let next_rx = self
-                .rx_scratch
-                .get(*rx_idx)
-                .map_or(end, |&(o, _)| o)
-                .clamp(*off, end);
-
-            if self.powered_off.is_some() {
-                // Only the NIC runs; skip straight to the next rx flit.
-                if self.nic.is_quiescent() && next_rx > *off {
-                    let k = next_rx - *off;
-                    self.nic.skip_quiescent(u64::from(k));
-                    self.rounds.skip_cycles += u64::from(k);
-                    self.cycle += u64::from(k);
-                    *off += k;
-                } else {
-                    self.nic_cycle(ctx, out_port, *off, rx_idx);
-                    self.rounds.fallback_cycles += 1;
-                    self.cycle += 1;
-                    *off += 1;
-                }
-                continue;
-            }
+            let next_rx = self.port.next_rx().map_or(end, |o| o.clamp(*off, end));
 
             // Every reference iteration starts with this wiring; decide
             // from the post-wiring state how far the blade can jump.
             self.wire_interrupts();
 
             let mut active = 0usize;
+            let mut lone = 0usize;
             // Tightest wakeup bound over the inactive cores (stall expiry
             // or armed-timer expiry; parked cores with the timer masked
             // are unbounded).
@@ -789,44 +805,69 @@ impl RtlBlade {
                 let ev = core.next_event(self.clint.next_timer_expiry(i));
                 if ev == 0 {
                     active += 1;
+                    lone = i;
                 } else {
                     inactive_bound = inactive_bound.min(ev);
                 }
             }
             let nic_quiet = self.nic.is_quiescent();
+            // Nothing a busy NIC does reaches a core before its next MMIO
+            // access when its interrupt line cannot change meanwhile.
+            let nic_frozen = self.nic.interrupt_frozen();
             let accel_idle = !self.accel.as_ref().is_some_and(CopyAccel::busy);
             let blockdev_busy = self.blockdev.min_busy_cycles();
             let remaining = u64::from(end - *off);
 
-            if active == 0 && nic_quiet && accel_idle {
-                // Full skip: nothing observable happens before the
-                // earliest bound, so replay k cycles in O(1). The `- 1`
-                // on the disk bound keeps its next completion (and the
-                // interrupt it raises) inside per-cycle handling.
-                let mut k = remaining.min(inactive_bound).min(u64::from(next_rx - *off));
-                if let Some(m) = blockdev_busy {
-                    k = k.min(m.saturating_sub(1));
-                }
-                if k >= 2 {
-                    for core in &mut self.cores {
-                        core.skip(k);
+            let why = if !accel_idle {
+                Fallback::Device
+            } else if active == 0 {
+                if !(nic_quiet || nic_frozen) {
+                    Fallback::Nic
+                } else {
+                    // Full skip: nothing observable happens before the
+                    // earliest bound, so replay k cycles in O(1). The `- 1`
+                    // on the disk bound keeps its next completion (and the
+                    // interrupt it raises) inside per-cycle handling. A
+                    // quiet NIC whose line could rise stops the skip
+                    // before its next flit.
+                    let mut k = remaining.min(inactive_bound);
+                    if !nic_frozen {
+                        k = k.min(u64::from(next_rx - *off));
                     }
-                    self.blockdev.skip(k);
-                    // The reference re-wires at the top of each skipped
-                    // iteration, but with frozen devices only the last
-                    // wiring (which sees mtime after k-1 CLINT advances)
-                    // is ever observed. Reproduce exactly that one, then
-                    // complete the final iteration's CLINT advance.
-                    self.clint.advance(k - 1);
-                    self.wire_interrupts();
-                    self.clint.advance(1);
-                    self.nic.skip_quiescent(k);
-                    self.rounds.skip_cycles += k;
-                    self.cycle += k;
-                    *off += k as u32;
-                    continue;
+                    if let Some(m) = blockdev_busy {
+                        k = k.min(m.saturating_sub(1));
+                    }
+                    if k >= 2 {
+                        for core in &mut self.cores {
+                            core.skip(k);
+                        }
+                        self.blockdev.skip(k);
+                        // The reference re-wires at the top of each skipped
+                        // iteration, but with frozen devices only the last
+                        // wiring (which sees mtime after k-1 CLINT advances)
+                        // is ever observed. Reproduce exactly that one, then
+                        // complete the final iteration's CLINT advance.
+                        self.clint.advance(k - 1);
+                        self.wire_interrupts();
+                        self.clint.advance(1);
+                        // No core touches memory during the skip, so the
+                        // NIC's DMA may run after everything else.
+                        self.nic.advance(&mut self.mem, &mut self.port, k as u32);
+                        self.flush_tx(ctx, out_port);
+                        self.rounds.skip_cycles += k;
+                        self.cycle += k;
+                        *off += k as u32;
+                        continue;
+                    }
+                    Fallback::Device
                 }
-            } else if active >= 1 && nic_quiet && accel_idle && self.rounds.pays_off(active) {
+            } else if !(nic_quiet
+                || (active == 1 && nic_frozen && self.cores[lone].batches_superblocks()))
+            {
+                Fallback::Nic
+            } else if !self.rounds.pays_off(active) {
+                Fallback::Backoff
+            } else {
                 // Hart round. The budget guarantees that over the round
                 // (a) mtime never moves, so the skipped rewirings are
                 // no-ops, (b) no disk transfer completes before the final
@@ -867,21 +908,32 @@ impl RtlBlade {
                         self.rounds.note_round(used, budget);
                         used
                     };
-                    self.commit_round(ctx, out_port, off, rx_idx, used);
-                    if !solo && used < budget {
-                        // A hart stopped before a shared op: execute it
-                        // (and whatever the others do this cycle)
-                        // verbatim.
-                        self.wire_interrupts();
-                        self.reference_cycle(ctx, out_port, off, rx_idx);
+                    if used > 0 {
+                        self.commit_round(ctx, out_port, off, used);
+                        if !solo && used < budget {
+                            // A hart stopped before a shared op: execute
+                            // it (and whatever the others do this cycle)
+                            // verbatim.
+                            self.wire_interrupts();
+                            self.reference_cycle(ctx, out_port, off, Fallback::Shared);
+                        }
+                        continue;
                     }
-                    continue;
+                    // The first op was refused before anything ran: a
+                    // shared op, or a lone hart's access racing the DMA.
+                    if solo {
+                        Fallback::Nic
+                    } else {
+                        Fallback::Shared
+                    }
+                } else {
+                    Fallback::Shared
                 }
-            }
+            };
 
             // Fallback: one verbatim reference cycle (wiring already done
             // above).
-            self.reference_cycle(ctx, out_port, off, rx_idx);
+            self.reference_cycle(ctx, out_port, off, why);
         }
     }
 
@@ -892,56 +944,55 @@ impl RtlBlade {
         ctx: &mut AgentCtx<Flit>,
         out_port: usize,
         off: &mut u32,
-        rx_idx: &mut usize,
+        why: Fallback,
     ) {
         self.tick_cores_and_devices();
-        self.nic_cycle(ctx, out_port, *off, rx_idx);
-        self.rounds.fallback_cycles += 1;
+        self.nic_cycle(ctx, out_port);
+        self.rounds.fallback_cycles[why as usize] += 1;
         self.cycle += 1;
         *off += 1;
     }
 
-    /// Completes a hart round of `used` cycles: the harts that sat it out
-    /// and the devices advance in bulk, and the NIC exchanges the
+    /// Completes a hart round of `used > 0` cycles: the harts that sat it
+    /// out and the devices advance in bulk, and the NIC exchanges the
     /// round's tokens.
     fn commit_round(
         &mut self,
         ctx: &mut AgentCtx<Flit>,
         out_port: usize,
         off: &mut u32,
-        rx_idx: &mut usize,
         used: u64,
     ) {
         self.rounds.rounds += 1;
         self.rounds.round_cycles += used;
-        if used == 0 {
-            return;
-        }
         for (core, end) in self.cores.iter_mut().zip(&self.rounds.ends) {
             if end.is_none() {
                 core.skip(used);
             }
         }
         // The devices owe one tick per round cycle. Any MMIO inside a
-        // lone hart's span already flushed the ticks before it lazily
-        // (see `SocBus::catch_up_devices`); replay the remainder, with
-        // the final cycle as real ticks since the span's last cycle may
-        // have programmed a device.
+        // lone hart's span already replayed the ticks before it lazily
+        // (see `SocBus::catch_up_devices`); replay the remainder in the
+        // reference's order. The NIC's ticks before the final cycle come
+        // first, as their DMA precedes the final cycle's disk and
+        // accelerator transfers; the final cycle runs as real ticks,
+        // since the span's last cycle may have programmed a device.
         let lag = self.device_lag;
         self.device_lag = 0;
         debug_assert!(
             lag >= 1 && lag <= used,
             "hart round accounting broken: used {used}, lag {lag}"
         );
+        self.nic
+            .advance(&mut self.mem, &mut self.port, (lag - 1) as u32);
         self.blockdev.skip(lag - 1);
         self.blockdev.tick(&mut self.mem);
         if let Some(accel) = &mut self.accel {
             accel.tick(&mut self.mem);
         }
         self.clint.advance(used);
-        self.nic.skip_quiescent(lag - 1);
-        let last = *off + used as u32 - 1;
-        self.nic_cycle(ctx, out_port, last, rx_idx);
+        debug_assert_eq!(self.port.offset(), *off + used as u32 - 1);
+        self.nic_cycle(ctx, out_port);
         self.cycle += used;
         *off += used as u32;
     }
@@ -1046,6 +1097,7 @@ impl RtlBlade {
             let mut bus = SocBus {
                 mem: &mut self.mem,
                 nic: &mut self.nic,
+                port: &mut self.port,
                 blockdev: &mut self.blockdev,
                 uart: &mut self.uart,
                 clint: &mut self.clint,
@@ -1058,9 +1110,12 @@ impl RtlBlade {
             self.cores[i].advance(&mut bus, &mut self.memsys, i, t, cap, &mut guard)
         } else {
             self.store_scratch.clear();
+            // A busy NIC runs lazily behind the hart: fence off its DMA.
+            let dma = (!self.nic.is_quiescent()).then(|| self.nic.dma_footprint());
             let mut bus = SocBus {
                 mem: &mut self.mem,
                 nic: &mut self.nic,
+                port: &mut self.port,
                 blockdev: &mut self.blockdev,
                 uart: &mut self.uart,
                 clint: &mut self.clint,
@@ -1069,7 +1124,14 @@ impl RtlBlade {
                 stores: &mut self.store_scratch,
                 device_lag: &mut self.device_lag,
             };
-            self.cores[i].advance(&mut bus, &mut self.memsys, i, t, cap, &mut Unguarded)
+            let core = &mut self.cores[i];
+            match dma {
+                None => core.advance(&mut bus, &mut self.memsys, i, t, cap, &mut Unguarded),
+                Some((reads, writes)) => {
+                    let mut guard = DmaGuard::new(reads, writes);
+                    core.advance(&mut bus, &mut self.memsys, i, t, cap, &mut guard)
+                }
+            }
         }
     }
 
@@ -1084,7 +1146,6 @@ impl RtlBlade {
         out_port: usize,
         window: u32,
         off: &mut u32,
-        rx_idx: &mut usize,
     ) {
         let cfg = self.sampling.as_ref().expect("sampled mode").cfg;
         let period = cfg.period();
@@ -1102,9 +1163,9 @@ impl RtlBlade {
                 }
                 let start_cycle = self.cycle;
                 if self.reference_timing {
-                    self.advance_reference(ctx, out_port, end, off, rx_idx);
+                    self.advance_reference(ctx, out_port, end, off);
                 } else {
-                    self.advance_batched(ctx, out_port, end, off, rx_idx);
+                    self.advance_batched(ctx, out_port, end, off);
                 }
                 let ran = self.cycle - start_cycle;
                 let samp = self.sampling.as_mut().expect("sampled mode");
@@ -1127,7 +1188,7 @@ impl RtlBlade {
             } else {
                 let span = (period - pos).min(u64::from(window - *off));
                 let end = *off + span as u32;
-                self.advance_ff(ctx, out_port, end, off, rx_idx);
+                self.advance_ff(ctx, out_port, end, off);
             }
         }
     }
@@ -1138,14 +1199,7 @@ impl RtlBlade {
     /// one-token-per-cycle exchange so the network stays cycle-accurate.
     /// Interrupt lines are wired at leg boundaries only — the documented
     /// approximation of the sampled mode (DESIGN §18).
-    fn advance_ff(
-        &mut self,
-        ctx: &mut AgentCtx<Flit>,
-        out_port: usize,
-        end: u32,
-        off: &mut u32,
-        rx_idx: &mut usize,
-    ) {
+    fn advance_ff(&mut self, ctx: &mut AgentCtx<Flit>, out_port: usize, end: u32, off: &mut u32) {
         let span = u64::from(end - *off);
         if span == 0 {
             return;
@@ -1186,24 +1240,10 @@ impl RtlBlade {
             self.clint.advance(span);
         }
         // The NIC never fast-forwards: one token in, one token out per
-        // target cycle, with the quiescent bulk skip from the batched
-        // scheduler when nothing is in flight.
-        while *off < end {
-            if self.nic.is_quiescent() {
-                let next_rx = self
-                    .rx_scratch
-                    .get(*rx_idx)
-                    .map_or(end, |&(o, _)| o)
-                    .clamp(*off, end);
-                if next_rx > *off {
-                    self.nic.skip_quiescent(u64::from(next_rx - *off));
-                    *off = next_rx;
-                    continue;
-                }
-            }
-            self.nic_cycle(ctx, out_port, *off, rx_idx);
-            *off += 1;
-        }
+        // target cycle, hosted by its exact bulk advance.
+        self.nic.advance(&mut self.mem, &mut self.port, end - *off);
+        self.flush_tx(ctx, out_port);
+        *off = end;
         self.cycle += span;
         // Execute the leg's entire instruction budget only when this
         // slice reaches the absolute end of the fast-forward leg. The
@@ -1231,6 +1271,7 @@ impl RtlBlade {
                 let mut bus = SocBus {
                     mem: &mut self.mem,
                     nic: &mut self.nic,
+                    port: &mut self.port,
                     blockdev: &mut self.blockdev,
                     uart: &mut self.uart,
                     clint: &mut self.clint,
@@ -1382,7 +1423,7 @@ impl firesim_core::snapshot::Checkpoint for RtlBlade {
             samp.leg_start.clear();
         }
         self.store_scratch.clear();
-        self.rx_scratch.clear();
+        self.port = NicPort::default();
         self.device_lag = 0;
         Ok(())
     }
@@ -1451,17 +1492,21 @@ impl SimAgent for RtlBlade {
         }
         // How the batched schedule hosted the target cycles: Mode A
         // skips, hart rounds (and how many rolled a hart back), and
-        // per-cycle fallbacks. Schedule internals that differ between
-        // batched and reference timing by design.
+        // per-cycle fallbacks, in total and by reason. Schedule internals
+        // that differ between batched and reference timing by design
+        // (the reference loop counts none of them).
         let r = &self.rounds;
         for (name, v) in [
             ("skip_cycles", r.skip_cycles),
             ("round_cycles", r.round_cycles),
-            ("fallback_cycles", r.fallback_cycles),
+            ("fallback_cycles", r.fallback_cycles.iter().sum()),
             ("rounds", r.rounds),
             ("rollbacks", r.rollbacks),
         ] {
             out.push((format!("host_sched_{name}"), v));
+        }
+        for (why, v) in Fallback::NAMES.iter().zip(r.fallback_cycles) {
+            out.push((format!("host_sched_fallback_{why}_cycles"), v));
         }
         out.push(("host_dram_row_hits".to_owned(), ms.dram.row_hits));
         out.push(("host_dram_row_empty".to_owned(), ms.dram.row_empty));

@@ -35,7 +35,7 @@ pub use accel::CopyAccel;
 pub use blockdev::{BlockDevice, BlockDeviceConfig};
 pub use clint::Clint;
 pub use mmio::MmioDevice;
-pub use nic::{Nic, NicConfig, NicStats};
+pub use nic::{Nic, NicConfig, NicPort, NicStats};
 pub use uart::Uart;
 
 /// Default MMIO base addresses for the FireSim-rs SoC memory map.

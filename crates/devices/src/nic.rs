@@ -24,6 +24,7 @@
 //! ([`Nic::tick`]).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use firesim_net::{Flit, MacAddr};
 use firesim_riscv::mem::Memory;
@@ -100,6 +101,42 @@ impl NicStats {
     }
 }
 
+/// The NIC's network side over one token window, for [`Nic::advance`]
+/// and [`Nic::exchange`]: the window's incoming flits, the offset the
+/// next tick runs at, and the outgoing flits not yet handed on.
+#[derive(Debug, Default)]
+pub struct NicPort {
+    rx: Vec<(u32, Flit)>,
+    rx_idx: usize,
+    next: u32,
+    /// Outgoing flits `(window offset, flit)`, in offset order, for the
+    /// owner to drain into its output window.
+    pub tx: Vec<(u32, Flit)>,
+}
+
+impl NicPort {
+    /// Starts a window: `rx` (in increasing offset order) becomes its
+    /// incoming flits and the next tick runs at offset 0.
+    pub fn start_window(&mut self, rx: impl IntoIterator<Item = (u32, Flit)>) {
+        self.rx.clear();
+        self.rx.extend(rx);
+        self.rx_idx = 0;
+        self.next = 0;
+        debug_assert!(self.tx.is_empty(), "outgoing flits left undrained");
+    }
+
+    /// Window offset of the next tick.
+    pub fn offset(&self) -> u32 {
+        self.next
+    }
+
+    /// Offset of the next incoming flit not yet delivered. One below
+    /// [`offset`](Self::offset) is never delivered, like any after it.
+    pub fn next_rx(&self) -> Option<u32> {
+        self.rx.get(self.rx_idx).map(|&(o, _)| o)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct ReaderState {
     /// Unaligned packet start address.
@@ -120,6 +157,9 @@ pub struct Nic {
 
     // Controller queues.
     send_reqs: VecDeque<(u64, u32)>,
+    /// The hull of the words the queued send requests will read, kept
+    /// for [`Nic::dma_footprint`]. Derived state, not checkpointed.
+    queued_reads: Range<u64>,
     recv_reqs: VecDeque<u64>,
     send_comps: VecDeque<u64>,
     recv_comps: VecDeque<u32>,
@@ -151,6 +191,7 @@ impl Nic {
         Nic {
             mac,
             send_reqs: VecDeque::new(),
+            queued_reads: EMPTY,
             recv_reqs: VecDeque::new(),
             send_comps: VecDeque::new(),
             recv_comps: VecDeque::new(),
@@ -193,9 +234,8 @@ impl Nic {
     /// True when a [`Nic::tick`] with no incoming flit would change
     /// nothing observable: no DMA engine active, no queued work that a
     /// tick could start, and nothing buffered for transmission. In this
-    /// state the only per-cycle effects are the cycle counter and the
-    /// rate-limiter refill, both reproduced in closed form by
-    /// [`Nic::skip_quiescent`].
+    /// state only the cycle counter and the rate-limiter refill move
+    /// until the next incoming flit, and no DMA touches memory.
     ///
     /// `rx_buffered` plus `recv_reqs` both nonempty would let a tick pair
     /// them into a writer, so quiescence requires at least one empty.
@@ -209,23 +249,130 @@ impl Nic {
             && (self.rx_buffered.is_empty() || self.recv_reqs.is_empty())
     }
 
-    /// Bulk-advances a quiescent NIC by `cycles` target cycles with no
-    /// incoming flits, bit-identical to `cycles` calls of
-    /// `tick(mem, None)` in that state (which touch only the cycle
-    /// counter and the token bucket).
+    /// True when the interrupt line cannot change before the CPU next
+    /// accesses the NIC's registers, whatever the NIC does meanwhile:
+    /// either both sources are masked, or the line is already up — the
+    /// completion queues that hold it up drain only through MMIO reads.
+    pub fn interrupt_frozen(&self) -> bool {
+        self.intr_mask & 0b11 == 0 || self.interrupt()
+    }
+
+    /// The DRAM the DMA engines can still touch before the CPU next
+    /// accesses the NIC's registers and before another incoming packet
+    /// completes: `(reads, writes)`, each a range covering the bytes
+    /// involved (`start >= end` when empty).
     ///
-    /// The token bucket admits a closed form because refills are monotone
-    /// non-decreasing under the cap and nothing transmits:
-    /// `t_n = min(t_0 + n*k, cap)`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics when the NIC is not quiescent.
-    pub fn skip_quiescent(&mut self, cycles: u64) {
-        if cycles == 0 {
-            return;
+    /// * Reads: the aligned words the reader has yet to fetch for its
+    ///   current packet and for every queued send request.
+    /// * Writes: what the writer has yet to store of its current packet,
+    ///   and each buffered packet paired, in order, with a posted
+    ///   receive buffer.
+    pub fn dma_footprint(&self) -> (Range<u64>, Range<u64>) {
+        let mut reads = self.queued_reads.clone();
+        if let Some(r) = &self.reader {
+            reads = hull(reads, r.cursor..r.end);
         }
-        debug_assert!(self.is_quiescent(), "skip_quiescent on a busy NIC");
+        let mut writes = EMPTY;
+        if let Some((pkt, cursor, addr)) = &self.writer {
+            writes = addr.saturating_add(*cursor as u64)..addr.saturating_add(pkt.len() as u64);
+        }
+        for (pkt, &addr) in self.rx_buffered.iter().zip(&self.recv_reqs) {
+            writes = hull(writes, addr..addr.saturating_add(pkt.len() as u64));
+        }
+        (reads, writes)
+    }
+
+    /// The hull of the words the queued send requests will read.
+    fn queued_hull(&self) -> Range<u64> {
+        self.send_reqs
+            .iter()
+            .fold(EMPTY, |h, &(addr, len)| hull(h, read_words(addr, len)))
+    }
+
+    /// Advances the NIC `cycles` target cycles from the port's current
+    /// window offset, bit-identical to as many [`Nic::exchange`] calls:
+    /// incoming flits are consumed at their offsets and outgoing ones
+    /// queued in [`NicPort::tx`] with theirs.
+    ///
+    /// Stretches in which a tick would only refill the token bucket —
+    /// a reader backpressured by a full reservation buffer, a writer with
+    /// nothing to write, a transmitter waiting for tokens or with nothing
+    /// to send — are jumped in closed form up to the next incoming flit.
+    pub fn advance(&mut self, mem: &mut Memory, port: &mut NicPort, cycles: u32) {
+        let end = port.next + cycles;
+        while port.next < end {
+            let quiet = port.next_rx().map_or(end, |o| o.clamp(port.next, end)) - port.next;
+            let idle = self.idle_ticks(u64::from(quiet));
+            if idle > 0 {
+                self.idle(idle);
+                port.next += idle as u32;
+            } else {
+                self.exchange(mem, port);
+            }
+        }
+    }
+
+    /// One [`Nic::tick`] at the port's current window offset: delivers
+    /// the incoming flit due then, if any, and queues the outgoing one.
+    pub fn exchange(&mut self, mem: &mut Memory, port: &mut NicPort) {
+        let off = port.next;
+        let rx = match port.rx.get(port.rx_idx) {
+            Some(&(o, f)) if o == off => {
+                port.rx_idx += 1;
+                Some(f)
+            }
+            _ => None,
+        };
+        if let Some(flit) = self.tick(mem, rx) {
+            port.tx.push((off, flit));
+        }
+        port.next += 1;
+    }
+
+    /// How many of the next ticks, at most `max` and with no incoming
+    /// flit, would change nothing but the cycle counter and the token
+    /// bucket.
+    fn idle_ticks(&self, max: u64) -> u64 {
+        // The writer writes, or pairs a buffered packet with a buffer.
+        if self.writer.is_some() || (!self.rx_buffered.is_empty() && !self.recv_reqs.is_empty()) {
+            return 0;
+        }
+        // The reader starts a queued request, or has room to read.
+        match &self.reader {
+            None if !self.send_reqs.is_empty() => return 0,
+            Some(r) if r.cursor >= r.end || self.resbuf.len() + 8 <= self.config.resbuf_bytes => {
+                return 0
+            }
+            _ => {}
+        }
+        // With the reader stalled, a transmitter short of bytes stays so.
+        let starved = match self.tx_remaining {
+            Some(remaining) => self.resbuf.len() < (remaining as usize).min(8),
+            None => self.tx_pkts.is_empty(),
+        };
+        if starved {
+            return max;
+        }
+        // Otherwise it acts on the first tick whose refill leaves a token.
+        if self.config.rate_k == 0 || self.tokens > 0 {
+            return 0;
+        }
+        let (k, p) = (
+            u64::from(self.config.rate_k),
+            u64::from(self.config.rate_p.max(1)),
+        );
+        let refills = self.tokens.unsigned_abs() / k + 1;
+        (self.cycle / p)
+            .checked_add(refills)
+            .and_then(|r| r.checked_mul(p))
+            .map_or(max, |acting| (acting - self.cycle - 1).min(max))
+    }
+
+    /// Bulk-advances `cycles` ticks that [`idle_ticks`](Self::idle_ticks)
+    /// proved idle. The token bucket admits a closed form because refills
+    /// are monotone non-decreasing under the cap and nothing transmits:
+    /// `t_n = min(t_0 + n*k, cap)`.
+    fn idle(&mut self, cycles: u64) {
         if self.config.rate_k > 0 {
             let p = u64::from(self.config.rate_p.max(1));
             let refills = (self.cycle + cycles) / p - self.cycle / p;
@@ -324,6 +471,7 @@ impl Nic {
                 let start = addr & !7;
                 let end = (addr + u64::from(len) + 7) & !7;
                 self.send_reqs.pop_front();
+                self.queued_reads = self.queued_hull();
                 self.reader = Some(ReaderState {
                     addr,
                     len,
@@ -338,13 +486,10 @@ impl Nic {
             if self.resbuf.len() + 8 <= self.config.resbuf_bytes && r.cursor < r.end {
                 if let Ok(chunk) = mem.read_bytes(r.cursor, 8) {
                     // Aligner: keep only the packet's own bytes.
-                    let pkt_start = r.addr;
-                    let pkt_end = r.addr + u64::from(r.len);
-                    for (i, &b) in chunk.iter().enumerate() {
-                        let a = r.cursor + i as u64;
-                        if a >= pkt_start && a < pkt_end {
-                            self.resbuf.push_back(b);
-                        }
+                    let lo = r.addr.max(r.cursor) - r.cursor;
+                    let hi = (r.addr + u64::from(r.len)).min(r.cursor + 8) - r.cursor;
+                    if lo < hi {
+                        self.resbuf.extend(&chunk[lo as usize..hi as usize]);
                     }
                 }
                 r.cursor += 8;
@@ -375,8 +520,8 @@ impl Nic {
                 let n = (remaining as usize).min(8);
                 if self.resbuf.len() >= n {
                     let mut buf = [0u8; 8];
-                    for slot in buf.iter_mut().take(n) {
-                        *slot = self.resbuf.pop_front().expect("len checked");
+                    for (slot, b) in buf.iter_mut().zip(self.resbuf.drain(..n)) {
+                        *slot = b;
                     }
                     let last = remaining as usize == n;
                     out = Some(Flit::from_bytes(&buf[..n], last));
@@ -470,6 +615,7 @@ impl firesim_core::snapshot::Checkpoint for Nic {
         self.config.rate_k = r.get()?;
         self.config.rate_p = r.get()?;
         self.send_reqs = r.get()?;
+        self.queued_reads = self.queued_hull();
         self.recv_reqs = r.get()?;
         self.send_comps = r.get()?;
         self.recv_comps = r.get()?;
@@ -539,6 +685,7 @@ impl MmioDevice for Nic {
                 let len = ((value >> 48) & 0x7fff) as u32;
                 if len > 0 {
                     self.send_reqs.push_back((addr, len));
+                    self.queued_reads = hull(self.queued_reads.clone(), read_words(addr, len));
                 }
             }
             reg::RECV_REQ if self.recv_reqs.len() < self.config.queue_depth => {
@@ -556,6 +703,27 @@ impl MmioDevice for Nic {
         (self.intr_mask & 0b01 != 0 && !self.send_comps.is_empty())
             || (self.intr_mask & 0b10 != 0 && !self.recv_comps.is_empty())
     }
+}
+
+/// The empty address range.
+const EMPTY: Range<u64> = 0..0;
+
+/// The smallest range covering `a` and `b`; empty ranges count for
+/// nothing.
+fn hull(a: Range<u64>, b: Range<u64>) -> Range<u64> {
+    if b.is_empty() {
+        a
+    } else if a.is_empty() {
+        b
+    } else {
+        a.start.min(b.start)..a.end.max(b.end)
+    }
+}
+
+/// The aligned words the reader fetches for a packet of `len` bytes at
+/// `addr`.
+fn read_words(addr: u64, len: u32) -> Range<u64> {
+    addr & !7..addr.saturating_add(u64::from(len) + 7) & !7
 }
 
 /// Packs a send request register value from a buffer address and length.
@@ -592,34 +760,143 @@ mod tests {
         out
     }
 
-    #[test]
-    fn skip_quiescent_matches_iterated_ticks() {
-        // Sweep rate-limiter configs and skip lengths, comparing the
-        // closed-form bulk advance against literally iterating tick().
-        for (k, p) in [(0u16, 1u16), (1, 1), (3, 7), (8, 2), (5, 64)] {
-            for skip in [1u64, 2, 5, 63, 64, 65, 1000] {
-                let (mut a, mut mem) = mk();
-                let (mut b, _) = mk();
-                a.set_rate_limit(k, p);
-                b.set_rate_limit(k, p);
-                // Drain some tokens first so the bucket is mid-range.
-                let payload = [0u8; 32];
-                mem.write_bytes(DRAM_BASE + 0x100, &payload).unwrap();
-                for nic in [&mut a, &mut b] {
-                    nic.write(reg::SEND_REQ, 8, send_req(DRAM_BASE + 0x100, 32));
-                    let _ = drive_tx(nic, &mut mem, 400);
-                    assert!(nic.is_quiescent(), "k={k} p={p}: NIC should drain");
-                }
-                assert_eq!(a.tokens, b.tokens);
-                for _ in 0..skip {
-                    let tx = a.tick(&mut mem, None);
-                    assert!(tx.is_none(), "quiescent NIC must not transmit");
-                }
-                b.skip_quiescent(skip);
-                assert_eq!(a.cycle, b.cycle, "k={k} p={p} skip={skip}");
-                assert_eq!(a.tokens, b.tokens, "k={k} p={p} skip={skip}");
-            }
+    /// Seeded generator for the differential test below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
         }
+    }
+
+    fn nic_bytes(nic: &Nic) -> Vec<u8> {
+        let mut w = firesim_core::snapshot::SnapshotWriter::new();
+        firesim_core::snapshot::Checkpoint::save_state(nic, &mut w).unwrap();
+        w.into_bytes()
+    }
+
+    /// Incoming packets of 1-40 bytes spread over `cycles` offsets from
+    /// `start`, some back to back, some with gaps.
+    fn rx_stream(rng: &mut Lcg, start: u32, cycles: u32) -> Vec<(u32, Flit)> {
+        let mut flits = Vec::new();
+        let mut off = start + rng.below(8) as u32;
+        while off < start + cycles {
+            let mut left = 1 + rng.below(40) as usize;
+            while left > 0 && off < start + cycles {
+                let n = left.min(8);
+                left -= n;
+                let bytes: Vec<u8> = (0..n).map(|_| rng.below(256) as u8).collect();
+                flits.push((off, Flit::from_bytes(&bytes, left == 0)));
+                off += 1 + rng.below(3) as u32 * rng.below(2) as u32;
+            }
+            off += rng.below(200) as u32;
+        }
+        flits
+    }
+
+    /// A NIC and its memory in a seed-chosen state: a rate config
+    /// (unlimited included), a reservation or packet buffer small enough
+    /// to backpressure or drop, queued sends of unaligned packets, posted
+    /// receive buffers, and a random number of warm-up ticks with
+    /// incoming traffic, which leave the reader, writer and transmitter
+    /// part-way through packets.
+    fn seeded_nic(seed: u64) -> (Nic, Memory, Lcg) {
+        let mut rng = Lcg(seed);
+        let (k, p) =
+            [(0u16, 1u16), (1, 1), (1, 10), (3, 7), (8, 2), (5, 64)][rng.below(6) as usize];
+        let config = NicConfig {
+            resbuf_bytes: [4096, 64, 24][rng.below(3) as usize],
+            pktbuf_bytes: [64 * 1024, 96][rng.below(2) as usize],
+            rate_k: k,
+            rate_p: p,
+            ..NicConfig::default()
+        };
+        let mut nic = Nic::new(MacAddr::from_node_index(1), config);
+        let mut mem = Memory::new(DRAM_BASE, 1 << 16);
+        let fill: Vec<u8> = (0..1 << 16).map(|_| rng.below(256) as u8).collect();
+        mem.write_bytes(DRAM_BASE, &fill).unwrap();
+        if rng.below(4) == 0 {
+            nic.write(reg::INTR_MASK, 8, 0b11);
+        }
+        for _ in 0..rng.below(5) {
+            let addr = DRAM_BASE + 0x1000 + rng.below(0x2000);
+            nic.write(reg::SEND_REQ, 8, send_req(addr, 1 + rng.below(1500) as u32));
+        }
+        for _ in 0..rng.below(4) {
+            nic.write(reg::RECV_REQ, 8, DRAM_BASE + 0x8000 + rng.below(0x4000));
+        }
+        let warm = rng.below(300) as u32;
+        let rx = rx_stream(&mut rng, 0, warm);
+        let mut port = NicPort::default();
+        port.start_window(rx);
+        for _ in 0..warm {
+            nic.exchange(&mut mem, &mut port);
+        }
+        (nic, mem, rng)
+    }
+
+    #[test]
+    fn advance_matches_iterated_ticks() {
+        // Per seeded state, `advance` over a window (in one call or in
+        // random slices, zero-length ones included) must leave the NIC
+        // and memory byte-identical to literally iterating `tick`, and
+        // emit the same flits at the same offsets.
+        let mut jumped = 0;
+        for seed in 0..300u64 {
+            let (mut a, mut mem_a, mut rng) = seeded_nic(seed);
+            let (mut b, mut mem_b, _) = seeded_nic(seed);
+            let cycles = [0u32, 1, 7, 64, 1000, 3000][rng.below(6) as usize];
+            let rx = rx_stream(&mut rng, 0, cycles);
+
+            let mut want = Vec::new();
+            let mut next = 0;
+            for off in 0..cycles {
+                let flit = match rx.get(next) {
+                    Some(&(o, f)) if o == off => {
+                        next += 1;
+                        Some(f)
+                    }
+                    _ => None,
+                };
+                if let Some(f) = a.tick(&mut mem_a, flit) {
+                    want.push((off, f));
+                }
+            }
+
+            let mut port = NicPort::default();
+            port.start_window(rx);
+            let ticks_before = b.cycle;
+            if !b.is_quiescent() && b.idle_ticks(u64::from(cycles)) > 0 {
+                jumped += 1;
+            }
+            while port.offset() < cycles {
+                let left = cycles - port.offset();
+                let slice = if rng.below(2) == 0 {
+                    left
+                } else {
+                    (rng.below(u64::from(left) + 1) as u32).min(left)
+                };
+                b.advance(&mut mem_b, &mut port, slice);
+            }
+            b.advance(&mut mem_b, &mut port, 0);
+            assert_eq!(b.cycle - ticks_before, u64::from(cycles), "seed {seed}");
+            assert_eq!(port.tx, want, "seed {seed}: emitted flits differ");
+            assert_eq!(
+                nic_bytes(&a),
+                nic_bytes(&b),
+                "seed {seed}: NIC state differs"
+            );
+            assert_eq!(
+                mem_a.read_bytes(DRAM_BASE, 1 << 16).unwrap(),
+                mem_b.read_bytes(DRAM_BASE, 1 << 16).unwrap(),
+                "seed {seed}: memory differs"
+            );
+        }
+        assert!(jumped >= 10, "too few busy states start idle: {jumped}");
     }
 
     #[test]

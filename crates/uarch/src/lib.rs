@@ -32,6 +32,6 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig, DramStats, RowOutcome};
 pub use memsys::{AccessKind, MemSystem, MemSystemConfig, MemSystemStats};
 pub use timing::{
-    HartSnapshot, IssueGuard, PrivateOnly, SamplingConfig, TickEvent, TimingConfig, TimingCore,
-    TraceEntry, Unguarded,
+    DmaGuard, HartSnapshot, IssueGuard, PrivateOnly, SamplingConfig, TickEvent, TimingConfig,
+    TimingCore, TraceEntry, Unguarded,
 };

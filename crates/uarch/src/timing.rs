@@ -10,6 +10,8 @@
 //! effect of an instruction is applied on the cycle it *begins* and the
 //! core then stalls for the remaining cost.
 
+use std::ops::Range;
+
 use firesim_riscv::exec::{
     Cpu, Functional, MemAccess, StepOutcome, TimedModel, TimedStep, TimedStop,
 };
@@ -330,6 +332,67 @@ impl IssueGuard for PrivateOnly<'_> {
             return false;
         }
         self.data_blocks(mem, config, core, addr, is_store)
+    }
+}
+
+/// The guard of a lone hart's span while a DMA engine runs lazily
+/// behind it, its cycles replayed only at the span's MMIO or its end
+/// (DESIGN §12). Refuses every access whose order against the engine's
+/// deferred transfers could matter:
+///
+/// * a store (or AMO) into memory the engine has yet to read;
+/// * a fetch, load, store or AMO of memory the engine may yet write;
+/// * an instruction the decode cache could not serve, whose accesses
+///   are unknown before it runs.
+///
+/// Everything else commutes with the transfers, so running the hart
+/// first and the engine after is exact.
+#[derive(Debug, Clone)]
+pub struct DmaGuard {
+    reads: Range<u64>,
+    writes: Range<u64>,
+}
+
+impl DmaGuard {
+    /// A guard for an engine that may still read `reads` and write
+    /// `writes` (address hulls; `start >= end` is empty).
+    pub fn new(reads: Range<u64>, writes: Range<u64>) -> Self {
+        DmaGuard { reads, writes }
+    }
+}
+
+/// True when `[addr, addr + size)` overlaps `range`.
+#[inline(always)]
+fn overlaps(range: &Range<u64>, addr: u64, size: u64) -> bool {
+    addr < range.end && range.start < addr.saturating_add(size)
+}
+
+impl IssueGuard for DmaGuard {
+    #[inline(always)]
+    fn blocks(
+        &mut self,
+        _: &MemSystem,
+        _: &TimingConfig,
+        _: usize,
+        pc: u64,
+        inst: Option<&Inst>,
+        cpu: &Cpu,
+    ) -> bool {
+        let (addr, width, is_store) = match inst {
+            None => return true,
+            Some(&Inst::Load {
+                width, rs1, imm, ..
+            }) => (cpu.read_reg(rs1).wrapping_add(imm as u64), width, false),
+            Some(&Inst::Store {
+                width, rs1, imm, ..
+            }) => (cpu.read_reg(rs1).wrapping_add(imm as u64), width, true),
+            Some(&Inst::Amo { width, rs1, .. }) => (cpu.read_reg(rs1), width, true),
+            Some(_) => return overlaps(&self.writes, pc, 4),
+        };
+        let size = width.bytes() as u64;
+        overlaps(&self.writes, pc, 4)
+            || overlaps(&self.writes, addr, size)
+            || (is_store && overlaps(&self.reads, addr, size))
     }
 }
 

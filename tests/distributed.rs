@@ -43,21 +43,26 @@ impl Rng {
 /// partition boundary) plus a seed-dependent number of boot-and-idle
 /// nodes with seed-dependent work.
 ///
-/// Spec grammar: `seed=N[,nocache][,reference-timing]` — the `,nocache`
-/// suffix force-disables the per-hart decode cache on every blade, and
-/// `,reference-timing` swaps the batched event-driven timing layer for
-/// the per-cycle reference loop, so the same topology can be run with
-/// and without each fast path (the suffixes travel to re-exec'd workers
-/// inside the spec string, keeping parent and shards consistent).
+/// Spec grammar: `seed=N[,nocache][,reference-timing][,stream]` — the
+/// `,nocache` suffix force-disables the per-hart decode cache on every
+/// blade, and `,reference-timing` swaps the batched event-driven timing
+/// layer for the per-cycle reference loop, so the same topology can be
+/// run with and without each fast path (the suffixes travel to re-exec'd
+/// workers inside the spec string, keeping parent and shards
+/// consistent). `,stream` adds a §IV-C bandwidth pair across the racks:
+/// a sender on a rate-limited NIC, whose NIC is busy on every cycle,
+/// and a receiver that acknowledges the whole stream.
 fn build_seeded(spec: &str) -> SimResult<(Topology, SimConfig)> {
     let mut parts = spec.split(',');
     let spec_seed = parts.next().unwrap_or_default();
     let mut nocache = false;
     let mut reference_timing = false;
+    let mut stream = false;
     for flag in parts {
         match flag {
             "nocache" => nocache = true,
             "reference-timing" => reference_timing = true,
+            "stream" => stream = true,
             other => return Err(SimError::topology(format!("bad spec flag {other:?}"))),
         }
     }
@@ -105,6 +110,33 @@ fn build_seeded(spec: &str) -> SimResult<(Topology, SimConfig)> {
             );
             topo.add_downlink(rack, node).expect("free port");
         }
+    }
+    if stream {
+        let tx_mac = MacAddr::from_node_index(topo.server_count() as u64);
+        let rx_mac = MacAddr::from_node_index(topo.server_count() as u64 + 1);
+        let frames = 40 + rng.below(80) as usize;
+        let mut sender = blade(programs::stream_sender(
+            tx_mac,
+            rx_mac,
+            frames,
+            1486,
+            rng.below(20_000),
+        ));
+        if let BladeSpec::Rtl { config, .. } = &mut sender {
+            config.nic.rate_k = 1;
+            config.nic.rate_p = [2, 4, 10][rng.below(3) as usize];
+        }
+        let sender = topo.add_server("stream_tx", sender);
+        let receiver = topo.add_server(
+            "stream_rx",
+            blade(programs::stream_receiver(
+                rx_mac,
+                tx_mac,
+                frames as u64 * 1500,
+            )),
+        );
+        topo.add_downlink(rack0, sender).expect("free port");
+        topo.add_downlink(rack1, receiver).expect("free port");
     }
     let config = SimConfig {
         link_latency: Cycle::new(6_400), // the paper's default 2 us at 3.2 GHz
@@ -185,19 +217,16 @@ fn decode_cache_is_invisible(seed: u64) {
     }
 }
 
-/// The event-driven-timing acceptance check: the same seeded topology
+/// The event-driven-timing acceptance check: the topology of `spec`
 /// run under the batched schedule and under the per-cycle reference
 /// loop (`,reference-timing`), each across 1-, 2-, and 4-way
 /// partitionings, produces bit-identical per-agent checkpoint digests,
 /// combined digest, and deterministic report aggregates — skip-ahead
 /// scheduling and superblock static timing are host-side optimisations
 /// with zero target-visible effect.
-fn reference_timing_is_invisible(seed: u64) {
+fn reference_timing_is_invisible(spec: &str) {
     let mut baseline = None;
-    for spec in [
-        format!("seed={seed}"),
-        format!("seed={seed},reference-timing"),
-    ] {
+    for spec in [spec.to_owned(), format!("{spec},reference-timing")] {
         for workers in [1usize, 2, 4] {
             let cfg = PartitionConfig::new(workers, Cycle::new(CYCLES), spec.clone());
             let run = run_partitioned(build_seeded, &cfg)
@@ -221,6 +250,17 @@ fn reference_timing_is_invisible(seed: u64) {
                 }
             }
         }
+    }
+    if spec.ends_with(",stream") {
+        let base = baseline.expect("at least one run");
+        let frames = base
+            .report
+            .agents
+            .iter()
+            .find(|a| a.name == "stream_rx")
+            .and_then(|a| a.counters.iter().find(|(k, _)| k == "nic_rx_packets"))
+            .map_or(0, |&(_, v)| v);
+        assert!(frames >= 10, "{spec}: the stream delivered {frames} frames");
     }
 }
 
@@ -265,8 +305,10 @@ fn main() {
     }
     decode_cache_is_invisible(1);
     println!("ok - decode_cache_is_invisible seed=1");
-    reference_timing_is_invisible(1);
-    println!("ok - reference_timing_is_invisible seed=1");
+    for spec in ["seed=1", "seed=5,stream"] {
+        reference_timing_is_invisible(spec);
+        println!("ok - reference_timing_is_invisible {spec}");
+    }
     dead_worker_is_named();
     println!("ok - dead_worker_is_named");
     println!("distributed: all checks passed");

@@ -15,6 +15,12 @@
 //! harts sharing lines (cross-hart stores and loads, a flag handoff,
 //! AMOs, LR/SC, FENCE, MMIO, timer WFI), and mostly-private code with
 //! sparse sharing, which makes multi-hart rounds roll harts back.
+//!
+//! A network mix keeps the NIC busy beside running harts: seeded frames
+//! arrive in the input windows of a rate-limited NIC while the program
+//! posts and polls receive buffers, reads them, sends frames, stores
+//! into the frame being sent and sleeps on the NIC's interrupt. Two
+//! hand-written programs race a hart against the NIC's DMA directly.
 
 use std::collections::BTreeMap;
 
@@ -206,6 +212,109 @@ enum Mix {
     /// Mostly ALU/branch/private-memory code, with a shared op about
     /// one draw in twenty.
     Sparse,
+    /// Private draws mixed with NIC traffic: sends, receive buffers
+    /// posted, polled and read, stores into the frame template, and
+    /// sleeps on the NIC's receive interrupt.
+    Network,
+}
+
+/// Receive buffers of the network mix: eight 2 KiB slots.
+const RX_SLOTS: u64 = programs::RXBUF;
+
+/// Emits one draw of the network mix. x5-x7 and x29-x31 are
+/// temporaries; the trap handler clobbers x5-x7.
+fn emit_network_inst(a: &mut Assembler, rng: &mut Rng, uniq: &mut u32, sends: &mut u32) {
+    let data_reg = |rng: &mut Rng| 10 + rng.below(8) as u8;
+    let label = |uniq: &mut u32, what: &str| {
+        *uniq += 1;
+        format!("{what}{}", *uniq)
+    };
+    let slot = |rng: &mut Rng| (RX_SLOTS + rng.below(8) * 2048) as i64;
+    match rng.below(12) {
+        0..=4 => {
+            // Private draws; the private mix's long WFI (pick 14) is out.
+            let pick = rng.below(14);
+            emit_pick(a, rng, pick, uniq, sends);
+        }
+        5 => emit_pick(a, rng, 15, uniq, sends),
+        6..=7 => {
+            // Post a receive buffer, poll for a completion (bounded),
+            // and read the buffer when one arrives.
+            let poll = label(uniq, "poll");
+            let got = label(uniq, "got");
+            let done = label(uniq, "recvd");
+            a.li(30, NIC_BASE as i64);
+            a.li(31, slot(rng));
+            a.sd(31, 30, nic::reg::RECV_REQ as i64);
+            a.li(29, 20 + rng.below(200) as i64);
+            a.label(poll.clone());
+            a.ld(5, 30, nic::reg::RECV_COMP as i64);
+            a.bnez(5, got.clone());
+            a.addi(29, 29, -1);
+            a.bnez(29, poll);
+            a.j(done.clone());
+            a.label(got);
+            a.ld(data_reg(rng), 31, (rng.below(8) * 8) as i64);
+            a.lbu(data_reg(rng), 31, rng.below(64) as i64);
+            a.label(done);
+        }
+        8 => {
+            // Spin on receive-buffer memory with no MMIO: the loads race
+            // whatever the NIC's writer is storing there.
+            let spin = label(uniq, "bufspin");
+            a.li(31, slot(rng));
+            a.li(29, 30 + rng.below(300) as i64);
+            a.label(spin.clone());
+            a.ld(5, 31, (rng.below(64) * 8) as i64);
+            a.add(data_reg(rng), data_reg(rng), 5);
+            a.addi(29, 29, -1);
+            a.bnez(29, spin);
+        }
+        9 => {
+            // Store into the frame template, racing an in-flight send.
+            a.li(31, (programs::TXBUF + rng.below(FRAME_LEN / 8) * 8) as i64);
+            a.sd(data_reg(rng), 31, 0);
+        }
+        _ => {
+            // Take the NIC's receive interrupt: post a buffer, unmask
+            // the interrupt, enable MEIE and spin a while — the interrupt
+            // may land here or anywhere later until the handler masks the
+            // NIC again. One time in three, then sleep in WFI, with a
+            // timer backstop a few `mtime` ticks out, unless the handler
+            // already ran (it sets x4).
+            let spin = label(uniq, "irqspin");
+            let awake = label(uniq, "awake");
+            let sleep = rng.below(3) == 0;
+            a.li(4, 0);
+            a.li(30, NIC_BASE as i64);
+            a.li(31, slot(rng));
+            a.sd(31, 30, nic::reg::RECV_REQ as i64);
+            a.li(5, 0b10);
+            a.sd(5, 30, nic::reg::INTR_MASK as i64);
+            if sleep {
+                a.csrr(5, csr::MHARTID);
+                a.slli(5, 5, 3);
+                a.li(6, (CLINT_BASE + clint::MTIMECMP_BASE) as i64);
+                a.add(5, 5, 6);
+                a.li(6, (CLINT_BASE + clint::MTIME) as i64);
+                a.ld(7, 6, 0);
+                a.addi(7, 7, 1 + rng.below(3) as i64);
+                a.sd(7, 5, 0);
+            }
+            a.li(6, (1 << 11) | (1 << 7)); // MIE.MEIE | MIE.MTIE
+            a.csrs(csr::MIE, 6);
+            a.csrsi(csr::MSTATUS, 8); // MSTATUS.MIE
+            a.li(29, 20 + rng.below(400) as i64);
+            a.label(spin.clone());
+            a.addi(29, 29, -1);
+            a.bnez(29, spin);
+            if sleep {
+                a.bnez(4, awake.clone());
+                a.wfi();
+            }
+            a.label(awake);
+        }
+    }
 }
 
 /// Emits one shared-memory or MMIO idiom. x27 holds the hart id, x26
@@ -356,6 +465,7 @@ fn emit_mix_inst(a: &mut Assembler, rng: &mut Rng, mix: Mix, uniq: &mut u32, sen
                 }
             }
         }
+        Mix::Network => emit_network_inst(a, rng, uniq, sends),
     }
 }
 
@@ -387,6 +497,14 @@ fn random_program_mix(seed: u64, mix: Mix) -> programs::Program {
     a.add(5, 5, 6);
     a.li(6, -1);
     a.sd(6, 5, 0);
+    if mix == Mix::Network {
+        // Mask the NIC's interrupt, take one receive completion and
+        // flag the trap in x4.
+        a.li(6, NIC_BASE as i64);
+        a.sd(0, 6, nic::reg::INTR_MASK as i64);
+        a.ld(7, 6, nic::reg::RECV_COMP as i64);
+        a.li(4, 1);
+    }
     if mix != Mix::Private {
         // A wakeup leaves `mepc` on the WFI itself; step past it so the
         // hart resumes its loop instead of parking again for good.
@@ -448,16 +566,21 @@ fn random_program_mix(seed: u64, mix: Mix) -> programs::Program {
 }
 
 fn build_blade(program: &programs::Program, cores: usize, reference: bool) -> RtlBlade {
-    build_blade_with(program, cores, reference, false)
+    build_blade_with(program, cores, reference, false, UNLIMITED)
 }
 
+/// The NIC's default rate limiter setting `(k, p)`: no limit.
+const UNLIMITED: (u16, u16) = (0, 1);
+
 /// [`build_blade`], optionally keeping multi-hart rounds on however
-/// short they come out (`RtlBlade::keep_short_rounds`).
+/// short they come out (`RtlBlade::keep_short_rounds`), with the NIC's
+/// rate limiter at `rate`.
 fn build_blade_with(
     program: &programs::Program,
     cores: usize,
     reference: bool,
     eager: bool,
+    rate: (u16, u16),
 ) -> RtlBlade {
     let mut config = match cores {
         1 => BladeConfig::single_core(),
@@ -465,6 +588,7 @@ fn build_blade_with(
     }
     .with_dram_bytes(1 << 20);
     config.timing.reference_timing = reference;
+    (config.nic.rate_k, config.nic.rate_p) = rate;
     let mut blade = RtlBlade::new("b", MacAddr::from_node_index(0), config);
     program.install(&mut blade);
     if eager {
@@ -481,9 +605,47 @@ fn snapshot(blade: &RtlBlade) -> Vec<u8> {
 
 /// Advances one window and returns the produced output token windows.
 fn advance_window(blade: &mut RtlBlade, now: u64) -> Vec<TokenWindow<Flit>> {
-    let mut ctx = AgentCtx::standalone(Cycle::new(now), WINDOW, vec![TokenWindow::new(WINDOW)], 1);
+    advance_window_fed(blade, now, &[])
+}
+
+/// [`advance_window`] with `input` arriving at the blade's NIC.
+fn advance_window_fed(
+    blade: &mut RtlBlade,
+    now: u64,
+    input: &[(u32, Flit)],
+) -> Vec<TokenWindow<Flit>> {
+    let mut window = TokenWindow::new(WINDOW);
+    for &(off, flit) in input {
+        window.push(off, flit).expect("input flits in offset order");
+    }
+    let mut ctx = AgentCtx::standalone(Cycle::new(now), WINDOW, vec![window], 1);
     blade.advance(&mut ctx);
     ctx.into_outputs()
+}
+
+/// `windows` input windows of seed-chosen frames: up to three per
+/// window, 14-400 bytes each, at random offsets, their flits back to
+/// back or a few cycles apart.
+fn seeded_frames(seed: u64, windows: u64) -> Vec<Vec<(u32, Flit)>> {
+    let mut rng = Rng::new(seed ^ 0x00F4_A3E5);
+    (0..windows)
+        .map(|_| {
+            let mut flits = Vec::new();
+            let mut off = rng.below(u64::from(WINDOW) / 2) as u32;
+            for _ in 0..rng.below(4) {
+                let mut left = 14 + rng.below(387) as usize;
+                while left > 0 && off < WINDOW {
+                    let n = left.min(8);
+                    left -= n;
+                    let bytes: Vec<u8> = (0..n).map(|_| rng.next() as u8).collect();
+                    flits.push((off, Flit::from_bytes(&bytes, left == 0)));
+                    off += 1 + rng.below(4).saturating_sub(2) as u32;
+                }
+                off += rng.below(u64::from(WINDOW) / 4) as u32;
+            }
+            flits
+        })
+        .collect()
 }
 
 /// Runs one seed through both timing schedules, comparing full blade
@@ -518,13 +680,33 @@ fn assert_program_equivalent_with(
     windows: u64,
     eager: bool,
 ) -> Vec<BTreeMap<String, u64>> {
-    let mut reference = build_blade(program, cores, true);
-    let mut batched = build_blade_with(program, cores, false, eager);
+    assert_fed_equivalent(
+        program,
+        what,
+        cores,
+        eager,
+        UNLIMITED,
+        &vec![Vec::new(); windows as usize],
+    )
+}
+
+/// [`assert_program_equivalent_with`] with the NIC's rate limiter at
+/// `rate` and `inputs[w]` arriving in window `w`.
+fn assert_fed_equivalent(
+    program: &programs::Program,
+    what: &str,
+    cores: usize,
+    eager: bool,
+    rate: (u16, u16),
+    inputs: &[Vec<(u32, Flit)>],
+) -> Vec<BTreeMap<String, u64>> {
+    let mut reference = build_blade_with(program, cores, true, false, rate);
+    let mut batched = build_blade_with(program, cores, false, eager, rate);
     let mut now = 0u64;
     let mut per_window = Vec::new();
-    for window in 0..windows {
-        let out_ref = advance_window(&mut reference, now);
-        let out_bat = advance_window(&mut batched, now);
+    for (window, input) in inputs.iter().enumerate() {
+        let out_ref = advance_window_fed(&mut reference, now, input);
+        let out_bat = advance_window_fed(&mut batched, now, input);
         assert!(
             out_ref == out_bat,
             "{what} ({cores} cores): output tokens diverged in window {window}"
@@ -746,6 +928,7 @@ fn quad_alu_blade_runs_in_rounds_without_rollbacks() {
         + c["host_sched_round_cycles"]
         + c["host_sched_fallback_cycles"];
     assert_eq!(hosted, 64 * u64::from(WINDOW), "{c:?}");
+    assert_fallback_reasons_sum(c);
     assert!(
         c["host_sched_round_cycles"] * 100 >= hosted * 99,
         "under 99% of cycles in rounds: {c:?}"
@@ -778,5 +961,266 @@ fn parked_blade_matches_reference() {
             "parked: snapshots diverged after window {window}"
         );
         now += u64::from(WINDOW);
+    }
+}
+
+/// The fallback counters split by reason add up to their total.
+fn assert_fallback_reasons_sum(c: &BTreeMap<String, u64>) {
+    let by_reason: u64 = ["nic", "device", "backoff", "shared"]
+        .iter()
+        .map(|why| c[&format!("host_sched_fallback_{why}_cycles")])
+        .sum();
+    assert_eq!(by_reason, c["host_sched_fallback_cycles"], "{c:?}");
+}
+
+/// Random programs that keep the NIC busy beside the running hart:
+/// seeded frames arrive while the program posts, polls and reads
+/// receive buffers, sends frames and stores into the one in flight, and
+/// sleeps on the NIC's receive interrupt; the NIC runs unlimited or
+/// rate-limited.
+#[test]
+fn randomized_network_programs_single_core() {
+    let mut lazy_nic_cycles = 0;
+    for seed in 16..=21 {
+        let rate = [UNLIMITED, (1, 3), (1, 10)][seed as usize % 3];
+        let program = random_program_mix(seed, Mix::Network);
+        let what = format!("network seed {seed}, rate {rate:?}");
+        let per_window =
+            assert_fed_equivalent(&program, &what, 1, false, rate, &seeded_frames(seed, 32));
+        let c = &per_window[per_window.len() - 1];
+        assert_fallback_reasons_sum(c);
+        assert!(c["nic_rx_packets"] > 0, "{what}: nothing received: {c:?}");
+        lazy_nic_cycles += c["host_sched_skip_cycles"] + c["host_sched_round_cycles"];
+    }
+    assert!(lazy_nic_cycles > 0);
+}
+
+/// The network mix on all four harts of a quad-core blade.
+#[test]
+fn randomized_network_programs_quad_core() {
+    let program = random_program_mix(22, Mix::Network);
+    let per_window = assert_fed_equivalent(
+        &program,
+        "network seed 22",
+        4,
+        false,
+        (1, 4),
+        &seeded_frames(22, 16),
+    );
+    assert_fallback_reasons_sum(&per_window[per_window.len() - 1]);
+}
+
+/// A hart stores into a frame while the NIC's reader is fetching it:
+/// the reader outruns the hart's store cursor, so early stores make it
+/// onto the wire and later ones do not, on exactly the reference loop's
+/// cycles. The frame is the one being read, or a second one queued
+/// behind it, which the reader reaches mid-loop.
+#[test]
+fn store_into_a_frame_mid_read_matches_reference() {
+    const LEN: u64 = 1500;
+    const SECOND: u64 = programs::TXBUF + 2048;
+    for queued in [false, true] {
+        let target = if queued { SECOND } else { programs::TXBUF };
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(10, NIC_BASE as i64);
+        a.li(11, target as i64);
+        a.li(12, (programs::TXBUF | (LEN << 48)) as i64);
+        a.li(16, (SECOND | (LEN << 48)) as i64);
+        a.li(13, 0x1111);
+        a.label("again");
+        a.sd(12, 10, nic::reg::SEND_REQ as i64);
+        if queued {
+            a.sd(16, 10, nic::reg::SEND_REQ as i64);
+        }
+        // Overwrite the frame from word 16 on, one word per iteration.
+        a.addi(14, 11, 128);
+        a.li(15, (LEN / 8 - 16) as i64);
+        a.label("store");
+        a.sd(13, 14, 0);
+        a.addi(14, 14, 8);
+        a.addi(15, 15, -1);
+        a.bnez(15, "store");
+        a.label("wait");
+        a.ld(5, 10, nic::reg::COUNTS as i64);
+        a.srli(5, 5, 16);
+        a.andi(5, 5, 0xff);
+        a.li(6, 1 + i64::from(queued));
+        a.bne(5, 6, "wait");
+        a.ld(5, 10, nic::reg::SEND_COMP as i64);
+        a.ld(5, 10, nic::reg::SEND_COMP as i64);
+        a.addi(13, 13, 0x111);
+        a.j("again");
+        let program = programs::Program {
+            image: a.assemble().unwrap(),
+            dram_init: vec![
+                (programs::TXBUF, vec![0xA5; LEN as usize]),
+                (SECOND, vec![0xB6; LEN as usize]),
+            ],
+            mailbox: (programs::MAILBOX, 8),
+        };
+        for rate in [UNLIMITED, (1, 2)] {
+            let what = format!("frame store, queued {queued}, rate {rate:?}");
+            let per_window =
+                assert_fed_equivalent(&program, &what, 1, false, rate, &vec![Vec::new(); 8]);
+            let c = &per_window[per_window.len() - 1];
+            assert!(c["nic_tx_packets"] >= 2, "{what}: {c:?}");
+            assert!(c["host_sched_round_cycles"] > 0, "{what}: no spans: {c:?}");
+        }
+    }
+}
+
+/// A hart spins on a word of a receive buffer, with no MMIO, while the
+/// NIC's writer fills it: the count of spins before the word changes
+/// pins the cycle on which the DMA landed. The buffer takes the frame
+/// being written, or a short second frame that is fully received while
+/// the writer is still busy with the first.
+#[test]
+fn load_from_a_receive_buffer_mid_write_matches_reference() {
+    const SECOND: u64 = programs::RXBUF + 2048;
+    for second in [false, true] {
+        let (buf, word) = if second {
+            (SECOND, 56)
+        } else {
+            (programs::RXBUF, 1488)
+        };
+        let mut a = Assembler::new(DRAM_BASE);
+        a.li(10, NIC_BASE as i64);
+        a.li(11, programs::RXBUF as i64);
+        a.li(13, SECOND as i64);
+        a.li(14, buf as i64);
+        a.li(12, programs::MAILBOX as i64);
+        a.label("next");
+        a.sd(0, 14, word);
+        a.sd(11, 10, nic::reg::RECV_REQ as i64);
+        if second {
+            a.sd(13, 10, nic::reg::RECV_REQ as i64);
+        }
+        a.li(6, 0);
+        a.label("spin");
+        a.ld(5, 14, word);
+        a.addi(6, 6, 1);
+        a.beqz(5, "spin");
+        a.sd(6, 12, 0);
+        a.ld(5, 10, nic::reg::RECV_COMP as i64);
+        a.ld(5, 10, nic::reg::RECV_COMP as i64);
+        a.j("next");
+        let program = programs::Program {
+            image: a.assemble().unwrap(),
+            dram_init: Vec::new(),
+            mailbox: (programs::MAILBOX, 8),
+        };
+        // Every other window a 1500-byte frame of nonzero bytes, then
+        // (for the second buffer) a 64-byte one right behind it.
+        let mut burst: Vec<(u32, Flit)> = (0..188u32)
+            .map(|i| {
+                let n = if i == 187 { 4 } else { 8 };
+                (100 + i, Flit::from_bytes(&[0x5A; 8][..n], i == 187))
+            })
+            .collect();
+        if second {
+            burst.extend((0..8u32).map(|i| (288 + i, Flit::from_bytes(&[0x6B; 8], i == 7))));
+        }
+        let inputs: Vec<_> = (0..8)
+            .map(|w| {
+                if w % 2 == 1 {
+                    burst.clone()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let what = format!("buffer spin, second buffer {second}");
+        let per_window = assert_fed_equivalent(&program, &what, 1, false, UNLIMITED, &inputs);
+        let c = &per_window[per_window.len() - 1];
+        assert_eq!(
+            c["nic_rx_packets"],
+            4 * (1 + u64::from(second)),
+            "{what}: {c:?}"
+        );
+    }
+}
+
+/// The §IV-C stream sender on a rate-limited NIC: it keeps 16 frames
+/// queued and polls the NIC, so the NIC is busy on every cycle. Past the
+/// first window, Mode A skips and lone-hart spans host at least 95% of
+/// the cycles.
+#[test]
+fn rate_limited_sender_runs_in_skips_and_rounds() {
+    let program = programs::stream_sender(
+        MacAddr::from_node_index(0),
+        MacAddr::from_node_index(1),
+        1 << 24,
+        1486,
+        0,
+    );
+    let per_window = assert_fed_equivalent(
+        &program,
+        "stream sender",
+        1,
+        false,
+        (1, 10),
+        &vec![Vec::new(); 24],
+    );
+    let (warm, c) = (&per_window[0], &per_window[per_window.len() - 1]);
+    assert_fallback_reasons_sum(c);
+    let hosted = |c: &BTreeMap<String, u64>, what: &[&str]| -> u64 {
+        what.iter()
+            .map(|w| c[&format!("host_sched_{w}_cycles")])
+            .sum()
+    };
+    let all = ["skip", "round", "fallback"];
+    let total = hosted(c, &all) - hosted(warm, &all);
+    let lazy = hosted(c, &all[..2]) - hosted(warm, &all[..2]);
+    assert_eq!(total, 23 * u64::from(WINDOW), "{c:?}");
+    assert!(
+        lazy * 100 >= total * 95,
+        "under 95% in skips or rounds: {c:?}"
+    );
+    assert!(c["nic_tx_packets"] > 0, "{c:?}");
+}
+
+/// A disk read lands in a receive buffer while the NIC's writer is
+/// filling it, inside one lone-hart span: the writer's bytes of the
+/// span's earlier cycles must land before the disk's transfer in the
+/// span's final cycle, and the NIC's final-cycle bytes after it, as in
+/// the reference loop. The frame's arrival is swept across the disk's
+/// completion cycle.
+#[test]
+fn disk_completion_amid_nic_writes_keeps_dma_order() {
+    use firesim_devices::blockdev;
+    use firesim_devices::map::BLKDEV_BASE;
+    let mut a = Assembler::new(DRAM_BASE);
+    a.li(10, NIC_BASE as i64);
+    a.li(11, programs::RXBUF as i64);
+    a.li(12, BLKDEV_BASE as i64);
+    a.sd(11, 10, nic::reg::RECV_REQ as i64);
+    // Read disk sector 0 (zeros) over the receive buffer.
+    a.sd(11, 12, blockdev::reg::ADDR as i64);
+    a.sd(0, 12, blockdev::reg::OFFSET as i64);
+    a.li(5, 1);
+    a.sd(5, 12, blockdev::reg::LEN as i64);
+    a.sd(0, 12, blockdev::reg::WRITE as i64);
+    a.ld(5, 12, blockdev::reg::ALLOC as i64);
+    a.label("spin");
+    a.addi(6, 6, 1);
+    a.j("spin");
+    let program = programs::Program {
+        image: a.assemble().unwrap(),
+        dram_init: Vec::new(),
+        mailbox: (programs::MAILBOX, 8),
+    };
+    // The read completes about 4,500 cycles in (window 1); a 1500-byte
+    // frame of nonzero bytes ends somewhere around then.
+    for end in (1_100..1_500).step_by(100) {
+        let frame: Vec<(u32, Flit)> = (0..188u32)
+            .map(|i| {
+                let n = if i == 187 { 4 } else { 8 };
+                (end - 187 + i, Flit::from_bytes(&[0x5A; 8][..n], i == 187))
+            })
+            .collect();
+        let inputs = vec![Vec::new(), frame, Vec::new()];
+        let what = format!("disk amid rx, frame ending at 3200+{end}");
+        let per_window = assert_fed_equivalent(&program, &what, 1, false, UNLIMITED, &inputs);
+        assert_eq!(per_window[2]["nic_rx_packets"], 1, "{what}");
     }
 }
